@@ -17,15 +17,25 @@ full central shift (s^-2 for odd n, the class Pi_{n-2} times s^-1 for
 even n, and the inverses on gamma^-1).  Entries always have nonnegative
 coefficients, so an entry is strictly positive for every t exactly when
 it is a nonzero polynomial; zero patterns are read off symbolically.
+
+Classification never forms the exact product of a path.  Its zero
+pattern is the product of the arrows' 2x2 Boolean supports: the supports
+are read from the exact entries, and a product of nonzero entries with
+nonnegative coefficients is never zero, so the Boolean product is exact.
+The growth log PF(M(p))(t) comes from a float product of the arrow
+matrices at t, rescaled at every step.  ``path_matrix``, ``zero_pattern``
+and ``pf_eigenvalue`` are the exact route, used when the matrix itself is
+wanted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .braidword import NormalForm, TwistLetter, forbidden_source, target_vertex, twist_modulus
-from .fusion import FusionVec, MassPoly, eval_mass, mass_mul
+from .fusion import FusionVec, MassPoly, eval_mass, mass_mul, pf_dim
 from .twistcalc import U, V1, V2, SemistableUnit, support_column
 
 __all__ = [
@@ -35,7 +45,9 @@ __all__ = [
     "PathWitness",
     "Vertex",
     "build",
+    "log_pf",
     "path_matrix",
+    "path_zero_pattern",
     "pf_eigenvalue",
     "recognize",
     "zero_pattern",
@@ -43,6 +55,7 @@ __all__ = [
 
 VertexId = tuple[str, int]
 MassMatrix = tuple[tuple[MassPoly, MassPoly], tuple[MassPoly, MassPoly]]
+Support = tuple[tuple[bool, bool], tuple[bool, bool]]  # entry is nonzero
 
 
 @dataclass(frozen=True)
@@ -62,6 +75,19 @@ class Arrow:
         if isinstance(self.label, int):
             return "gamma" if self.label == 1 else "gamma^-1"
         return self.label.label()
+
+    @cached_property
+    def support(self) -> Support:
+        return _support(self.matrix)
+
+    @cached_property
+    def weighted_terms(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """(exponent of s, PF dimension of the coefficient) per term of a, b, c, d."""
+        return tuple(
+            tuple((e, pf_dim(entry.n, vec)) for e, vec in entry.terms)
+            for row in self.matrix
+            for entry in row
+        )
 
 
 @dataclass(frozen=True)
@@ -284,23 +310,74 @@ def path_matrix(auto: MassAutomaton, path: PathWitness) -> MassMatrix:
     return out
 
 
-def zero_pattern(matrix: MassMatrix) -> str:
-    """Symbolic shape: 'diagonal', 'lower', 'upper' (triangular) or 'full'.
+def _support(matrix: MassMatrix) -> Support:
+    return tuple(tuple(not entry.is_zero() for entry in row) for row in matrix)
 
-    Nonnegative coefficients make 'nonzero polynomial' equivalent to
-    'strictly positive for every t'.  A zero diagonal entry cannot occur
-    for path matrices and is reported as a structural error.
+
+def _support_pattern(support: Support) -> str:
+    """Shape of a 2x2 support: 'diagonal', 'lower', 'upper' (triangular) or 'full'.
+
+    A zero diagonal entry cannot occur for path matrices and is reported
+    as a structural error.
     """
-    if matrix[0][0].is_zero() or matrix[1][1].is_zero():
+    (a, b), (c, d) = support
+    if not (a and d):
         raise ValueError("path matrix with a vanishing diagonal entry")
-    up, lo = matrix[0][1].is_zero(), matrix[1][0].is_zero()
-    if up and lo:
+    if not (b or c):
         return "diagonal"
-    if up:
+    if not b:
         return "lower"
-    if lo:
+    if not c:
         return "upper"
     return "full"
+
+
+def zero_pattern(matrix: MassMatrix) -> str:
+    """Symbolic shape of an exact matrix; see ``_support_pattern``.
+
+    Nonnegative coefficients make 'nonzero polynomial' equivalent to
+    'strictly positive for every t'.
+    """
+    return _support_pattern(_support(matrix))
+
+
+def path_zero_pattern(path: PathWitness) -> str:
+    """Same as ``zero_pattern(path_matrix(auto, path))``, in O(path).
+
+    The pattern is the Boolean product of the arrow supports.
+    """
+    a, b, c, d = True, False, False, True
+    for arrow in path.arrows:
+        (p, q), (r, s) = arrow.support
+        a, b, c, d = (
+            (p and a) or (q and c),
+            (p and b) or (q and d),
+            (r and a) or (s and c),
+            (r and b) or (s and d),
+        )
+    return _support_pattern(((a, b), (c, d)))
+
+
+def log_pf(path: PathWitness, t: float) -> float:
+    """``log pf_eigenvalue(path_matrix(auto, path), t)`` from a rescaled float product.
+
+    Each arrow is evaluated at t as exp(e t - top) with top its largest
+    e t, so no term overflows; the running product is divided by its
+    largest entry after every step.  Both scales are summed in the log
+    domain, so no step overflows however large |t| is.
+    """
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    log_scale = 0.0
+    for arrow in path.arrows:
+        terms = arrow.weighted_terms
+        top = max(e * t for entry in terms for e, _ in entry)
+        p, q, r, s = (sum(w * math.exp(e * t - top) for e, w in entry) for entry in terms)
+        a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+        big = max(a, b, c, d)
+        a, b, c, d = a / big, b / big, c / big, d / big
+        log_scale += top + math.log(big)
+    pf = 0.5 * (a + d + math.sqrt((a - d) * (a - d) + 4.0 * b * c))
+    return math.log(pf) + log_scale
 
 
 def pf_eigenvalue(matrix: MassMatrix, t: float) -> float:

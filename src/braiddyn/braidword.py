@@ -412,13 +412,21 @@ class NormalForm:
         return out
 
     def to_word(self) -> BraidWord:
-        """Expand back to a word in s1, s2 (freely reduced)."""
-        out = BraidWord.gamma_power(self.n, self.gamma_exp)
-        for letter, mult in self.blocks:
-            g = BraidWord.gamma_power(self.n, letter.index)
-            tw = g * BraidWord.generator(self.n, letter.family) ** mult * g.inverse()
-            out = tw * out
-        return out
+        """Expand back to a word in s1, s2 (freely reduced).
+
+        The blocks are spelled out into one letter sequence that is reduced
+        once; free reduction is confluent, so this equals reducing piece by
+        piece.
+        """
+        n = self.n
+        letters: list[tuple[int, int]] = []
+        for letter, mult in reversed(self.blocks):
+            # sigma_{gamma^j P_i}^mult = gamma^j s_i^mult gamma^-j
+            letters += BraidWord.gamma_power(n, letter.index).letters
+            letters += [(letter.family, 1)] * mult
+            letters += BraidWord.gamma_power(n, -letter.index).letters
+        letters += BraidWord.gamma_power(n, self.gamma_exp).letters
+        return BraidWord(n, tuple(letters))
 
     def text(self) -> str:
         parts = [

@@ -15,6 +15,15 @@ b_k^{m_k} ... b_1^{m_1} gamma^s and run:
    an explicit conjugate sigma_i^k chi^l, full = pseudo-Anosov with mass
    growth log PF of the matrix.
 
+The loop only records the peeled twist letters; the conjugate and the
+conjugator are spelled out as words once, when the verdict is returned.
+The zero pattern comes from the Boolean product of the arrow supports
+(``automaton.path_zero_pattern``) and the pseudo-Anosov growth from a
+rescaled float product (``automaton.log_pf``), so classification forms
+no exact matrix product.  The exact matrix M(p) is built on first read
+of ``ClassificationResult.matrix`` or ``LogPFGrowth.matrix`` (the two
+share one build) and kept with the result.
+
 Mass growths: periodic beta^k = gamma^(l n) has h_t = -(2l/k) t;
 reducible sigma_i^k chi^l has the piecewise-linear growth of
 `growth_reducible`; pseudo-Anosov h_t = log PF(M(p))(t) >= log 2 at
@@ -28,8 +37,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import automaton as am
 from .automaton import MassAutomaton, MassMatrix, PathWitness
@@ -98,12 +108,23 @@ class PiecewiseGrowth:
 
 @dataclass(frozen=True)
 class LogPFGrowth:
-    """h_t = log of the Perron-Frobenius eigenvalue of a closed-path matrix."""
+    """h_t = log of the Perron-Frobenius eigenvalue of a closed-path matrix M(p).
 
-    matrix: MassMatrix
+    ``evaluate`` multiplies the path's arrow matrices in floats at t,
+    rescaled at every step (``automaton.log_pf``), so it does not
+    overflow at large |t|.  The exact ``matrix`` is built on first read
+    and kept.
+    """
+
+    auto: MassAutomaton = field(repr=False, compare=False)
+    path: PathWitness
+
+    @cached_property
+    def matrix(self) -> MassMatrix:
+        return am.path_matrix(self.auto, self.path)
 
     def evaluate(self, t: float) -> float:
-        return math.log(am.pf_eigenvalue(self.matrix, t))
+        return am.log_pf(self.path, t)
 
     def describe(self) -> str:
         return "h_t = log PF(M(p))(t)"
@@ -143,10 +164,18 @@ class ClassificationResult:
     conjugator: BraidWord  # out_beta = conjugator * input * conjugator^-1
     normal_form: NormalForm  # final normal form reached by the loop
     path: PathWitness | None  # closed path, absent for early-exit periodic
-    matrix: MassMatrix | None
     growth: MassGrowth
     params: tuple | None  # (k, l) periodic / (i, k, l) reducible
     rounds: int  # conjugation rounds used
+
+    @cached_property
+    def matrix(self) -> MassMatrix | None:
+        """Exact M(p) of the closed path, built on first read; None without a path."""
+        if isinstance(self.growth, LogPFGrowth):
+            return self.growth.matrix
+        if self.path is None:
+            return None
+        return am.path_matrix(_automaton(self.n), self.path)
 
     def h0(self) -> float:
         return self.growth.evaluate(0.0)
@@ -213,27 +242,40 @@ def _automaton(n: int) -> MassAutomaton:
     return _AUTOMATA[n]
 
 
+def _conjugator(n: int, peeled: list[TwistLetter]) -> BraidWord:
+    """c with c * beta * c^-1 the final conjugate, for letters peeled in this order.
+
+    Each round conjugates by the peeled letter sigma_{gamma^j P_i} =
+    gamma^j s_i gamma^-j, so c is the inverse of their product.
+    """
+    letters: list[tuple[int, int]] = []
+    for letter in reversed(peeled):
+        letters += BraidWord.gamma_power(n, letter.index).letters
+        letters.append((letter.family, -1))
+        letters += BraidWord.gamma_power(n, -letter.index).letters
+    return BraidWord(n, tuple(letters))
+
+
 def classify(n: int, w: BraidWord) -> ClassificationResult:
     """Decide periodic / reducible / pseudo-Anosov and the exact mass growth."""
     if w.n != n:
         raise ValueError("word does not belong to the requested group")
     auto = _automaton(n)
     nf = to_normal_form(w)
-    accumulated = BraidWord.identity(n)  # product of conjugating twist letters
+    peeled: list[TwistLetter] = []  # conjugating twist letters, in order
     guard = nf.length() + 1
     rounds = 0
 
     while True:
         total = nf.twist_count()
         s = nf.gamma_exp
-        conj = accumulated.inverse()
-        beta = nf.to_word()
 
         if total == 0:
             # beta = gamma^s, so beta^n = gamma^(s n)
             growth = growth_periodic(n, n, s)
             return ClassificationResult(
-                n, PERIODIC, beta, conj, nf, None, None, growth, (n, s), rounds
+                n, PERIODIC, nf.to_word(), _conjugator(n, peeled), nf, None,
+                growth, (n, s), rounds,
             )
 
         if total == 1:
@@ -244,8 +286,8 @@ def classify(n: int, w: BraidWord) -> ClassificationResult:
                 # beta^2 = gamma^(2s+1), so beta^(2n) = gamma^((2s+1) n)
                 growth = growth_periodic(n, 2 * n, 2 * s + 1)
                 return ClassificationResult(
-                    n, PERIODIC, beta, conj, nf, None, None, growth,
-                    (2 * n, 2 * s + 1), rounds,
+                    n, PERIODIC, nf.to_word(), _conjugator(n, peeled), nf, None,
+                    growth, (2 * n, 2 * s + 1), rounds,
                 )
             break
 
@@ -263,10 +305,7 @@ def classify(n: int, w: BraidWord) -> ClassificationResult:
         blocks[0][1] -= 1
         blocks[-1][1] -= 1
         new_blocks = tuple((l, c) for l, c in blocks if c > 0)
-        g = BraidWord.gamma_power(n, b_k.index)
-        accumulated = accumulated * (
-            g * BraidWord.generator(n, b_k.family) * g.inverse()
-        )
+        peeled.append(b_k)
         nf = NormalForm(n, new_blocks, s + 1)
         rounds += 1
         if rounds > guard:
@@ -275,29 +314,27 @@ def classify(n: int, w: BraidWord) -> ClassificationResult:
     path = am.recognize(auto, nf, require_closed=True)
     if path is None or not path.closed:
         raise RuntimeError("recognised word lost its closed path")
-    matrix = am.path_matrix(auto, path)
-    pattern = am.zero_pattern(matrix)
-    conj = accumulated.inverse()
-    beta = nf.to_word()
+    pattern = am.path_zero_pattern(path)
+    conj = _conjugator(n, peeled)
 
     if pattern == "full":
-        growth = LogPFGrowth(matrix)
+        growth = LogPFGrowth(auto, path)
         return ClassificationResult(
-            n, PSEUDO_ANOSOV, beta, conj, nf, path, matrix, growth, None, rounds
+            n, PSEUDO_ANOSOV, nf.to_word(), conj, nf, path, growth, None, rounds
         )
     if pattern == "diagonal":
         # unreachable per the structure theory once twist letters remain
         logger.warning("diagonal pattern with twist letters present; anomaly")
         growth = growth_periodic(n, n, nf.gamma_exp)
         return ClassificationResult(
-            n, PERIODIC, beta, conj, nf, path, matrix, growth,
+            n, PERIODIC, nf.to_word(), conj, nf, path, growth,
             (n, nf.gamma_exp), rounds,
         )
     i, k, l, extra = reducible_witness(n, nf, pattern)
     growth = growth_reducible(n, i, k, l)
     out = _witness_word(n, i, k, l)
     return ClassificationResult(
-        n, REDUCIBLE, out, extra * conj, nf, path, matrix, growth, (i, k, l), rounds
+        n, REDUCIBLE, out, extra * conj, nf, path, growth, (i, k, l), rounds
     )
 
 
@@ -308,14 +345,22 @@ def estimate_growth(n: int, w: BraidWord, N: int = 24, t: float = 0.0) -> float:
     witness vertex's basis units through the letter sequence with the
     unit-level support tables (no arrow matrices are multiplied).
     """
+    return _estimate(classify(n, w), N, t)
+
+
+def _estimate(res: ClassificationResult, N: int, t: float) -> float:
+    """``estimate_growth`` for a word already classified as ``res``."""
     if N < 2:
         raise ValueError("need at least two iterations")
-    res = classify(n, w)
-    nf = res.normal_form if res.path is not None else to_normal_form(res.out_beta)
+    n = res.n
     auto = _automaton(n)
-    witness = am.recognize(auto, nf, require_closed=True)
-    if witness is None:
-        raise ValueError("word has no recognised expression to iterate")
+    if res.path is not None:
+        nf, witness = res.normal_form, res.path
+    else:
+        nf = to_normal_form(res.out_beta)
+        witness = am.recognize(auto, nf, require_closed=True)
+        if witness is None:
+            raise ValueError("word has no recognised expression to iterate")
     letters = nf.letters_applied()
     support: dict[SemistableUnit, int] = {
         unit: 1 for unit in auto.vertices[witness.start].basis

@@ -7,8 +7,10 @@ Four subcommands: ``classify`` (type + mass growth of a word), ``burau``
 stdin line and reports in input order.
 
 Exit codes: 0 success, 2 word syntax error (message carries the byte
-offset), 3 invalid n.  Reals are printed with 9 decimal places by
-default; the environment variable BRAIDDYN_PRECISION overrides this.
+offset), 3 invalid n, 4 a computation error such as ``estimate --steps 1``
+or a word the estimator cannot iterate (one ``error: ...`` line on
+stderr).  Reals are printed with 9 decimal places by default; the
+environment variable BRAIDDYN_PRECISION overrides this.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import sys
 
 from . import automaton as am
 from .braidword import WordSyntaxError, burau, parse_word
-from .classify import ClassificationResult, classify, estimate_growth
+from .classify import ClassificationResult, _estimate, classify
+from .classify import estimate_growth  # noqa: F401  the bench tracer wraps cli.estimate_growth
 from .fusion import eval_mass
 
 
@@ -158,9 +161,8 @@ def _run_automaton(args) -> int:
 
 def _run_estimate(args) -> int:
     for text in _gather_words(args):
-        word = parse_word(text, args.n)
-        value = estimate_growth(args.n, word, N=args.steps, t=args.t)
-        res = classify(args.n, word)
+        res = classify(args.n, parse_word(text, args.n))
+        value = _estimate(res, args.steps, args.t)
         if args.json:
             print(
                 json.dumps(
@@ -233,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     except WordSyntaxError as exc:
         print(f"word syntax error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -5,10 +5,13 @@ from collections import Counter
 import pytest
 
 from braiddyn.automaton import (
+    PathWitness,
     _identity_matrix,
     build,
+    log_pf,
     mat_mul,
     path_matrix,
+    path_zero_pattern,
     pf_eigenvalue,
     recognize,
     recognizes_word,
@@ -338,3 +341,72 @@ def test_json_dump_shape():
     assert not any(
         a["from"] == "v0" and a["to"] == "u0" for a in data4["arrows"]
     )
+
+
+# --- the classification route against the exact product -------------------------
+
+
+def _random_recognised_paths(rng, n, count, max_len):
+    """Paths of recognised normal forms of seeded random words, closed or not."""
+    auto = build(n)
+    out = []
+    while len(out) < count:
+        k = rng.randint(1, max_len)
+        w = BraidWord(n, tuple((rng.choice((1, 2)), rng.choice((1, -1))) for _ in range(k)))
+        path = recognize(auto, to_normal_form(w), require_closed=True)
+        if path is not None and path.arrows:
+            out.append(path)
+    return auto, out
+
+
+def _pattern_or_error(pattern_of, arg):
+    try:
+        return pattern_of(arg)
+    except ValueError:
+        return "vanishing diagonal"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
+def test_boolean_path_pattern_matches_exact_product(n):
+    # the verdict's zero pattern comes from Boolean arrow supports; it must
+    # equal the pattern of the exact MassPoly product on every path
+    rng = random.Random(1000 + n)
+    auto, paths = _random_recognised_paths(rng, n, 25, 14)
+    seen = Counter()
+    for path in paths:
+        want = _pattern_or_error(zero_pattern, path_matrix(auto, path))
+        assert _pattern_or_error(path_zero_pattern, path) == want
+        seen[want] += 1
+    # random arrow walks, closed or not, reach every shape
+    for _ in range(60):
+        cur, arrows = rng.choice(auto.vertex_order()), []
+        start = cur
+        for _ in range(rng.randint(1, 6)):
+            arrow = rng.choice([a for a in auto.arrows if a.source == cur])
+            arrows.append(arrow)
+            cur = arrow.target
+        walk = PathWitness(start, tuple(arrows), cur == start)
+        want = _pattern_or_error(zero_pattern, path_matrix(auto, walk))
+        assert _pattern_or_error(path_zero_pattern, walk) == want
+        seen[want] += 1
+    assert seen["full"] > 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
+def test_log_pf_matches_exact_eigenvalue(n):
+    rng = random.Random(2000 + n)
+    auto, paths = _random_recognised_paths(rng, n, 25, 14)
+    checked = 0
+    for path in paths:
+        if not path.closed:
+            continue
+        matrix = path_matrix(auto, path)
+        for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            want = math.log(pf_eigenvalue(matrix, t))
+            assert log_pf(path, t) == pytest.approx(want, rel=1e-9, abs=1e-12), (t, path)
+        checked += 1
+    assert checked > 5
+
+
+def test_log_pf_of_empty_path_is_zero():
+    assert log_pf(PathWitness(("v", 0), (), True), 123.0) == 0.0

@@ -180,6 +180,24 @@ def test_normal_form_preserves_group_element():
             assert burau_equal(burau(w), burau(nf.to_word())), (n, w.text())
 
 
+def test_to_word_equals_piecewise_product():
+    # to_word reduces the spelled-out blocks once; free reduction is
+    # confluent, so it must equal multiplying the block words one by one
+    rng = random.Random(29)
+    for n in (3, 4, 5, 8):
+        for _ in range(25):
+            letters = tuple(
+                (rng.choice((1, 2)), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 30))
+            )
+            nf = to_normal_form(BraidWord(n, letters))
+            want = BraidWord.gamma_power(n, nf.gamma_exp)
+            for letter, mult in nf.blocks:
+                g = BraidWord.gamma_power(n, letter.index)
+                want = g * BraidWord.generator(n, letter.family) ** mult * g.inverse() * want
+            assert nf.to_word() == want, (n, nf.text())
+
+
 def test_normal_form_blocks_are_pair_viable():
     rng = random.Random(23)
     for n in (3, 4, 5, 6, 7):

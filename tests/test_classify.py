@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import braiddyn.automaton as am
 from braiddyn.braidword import (
     BraidWord,
     TwistLetter,
@@ -355,3 +356,144 @@ def test_estimator_on_gamma():
 def test_estimator_rejects_tiny_n_steps():
     with pytest.raises(ValueError):
         estimate_growth(5, parse_word("s1", 5), N=1)
+
+
+# --- classification without exact products ----------------------------------------
+
+# a pseudo-Anosov word whose exact path matrix overflows math.exp at |t| = 300
+LARGE_T_WORD = "s1^2 s2^-2 s1 s2^-3 s1^2 s2^-1 s1 s2^-2"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
+def test_verdict_and_growth_match_exact_route(n):
+    # type and params as if decided on zero_pattern(path_matrix(...)); h_t as
+    # log pf_eigenvalue of the exact matrix
+    rng = random.Random(4000 + n)
+    auto = am.build(n)
+    full = 0
+    for _ in range(20):
+        res = classify(n, random_word(rng, n, 14))
+        if res.path is None:
+            assert res.braid_type == "periodic"
+            continue
+        exact = am.path_matrix(auto, res.path)
+        pattern = am.zero_pattern(exact)
+        assert res.matrix == exact
+        want = {"full": "pseudo_anosov", "diagonal": "periodic"}.get(pattern, "reducible")
+        assert res.braid_type == want
+        if pattern in ("upper", "lower"):
+            assert res.params == reducible_witness(n, res.normal_form, pattern)[:3]
+        if pattern == "full":
+            full += 1
+            for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
+                assert res.growth.evaluate(t) == pytest.approx(
+                    math.log(am.pf_eigenvalue(exact, t)), rel=1e-9, abs=1e-12
+                )
+    assert full >= 5
+
+
+def test_exact_matrix_is_built_once_and_only_on_demand(monkeypatch):
+    calls = []
+    real = am.path_matrix
+
+    def counting(auto, path):
+        calls.append(path)
+        return real(auto, path)
+
+    monkeypatch.setattr(am, "path_matrix", counting)
+    res = classify(5, parse_word("s1 s1 s2 s2", 5))
+    assert res.braid_type == "pseudo_anosov" and res.h0() == pytest.approx(PA5, abs=1e-12)
+    assert calls == []
+    assert res.matrix is res.growth.matrix
+    assert res.growth.to_json()["matrix"][0][0] == res.matrix[0][0].to_json()
+    assert len(calls) == 1
+    assert res.matrix == real(am.build(5), res.path)
+
+    calls.clear()
+    red = classify(5, parse_word("s2 s1 s2 s1^-1 s2 s1 s2^-1 s1 s2^3 s1", 5))
+    assert red.braid_type == "reducible" and calls == []
+    assert red.matrix is red.matrix and len(calls) == 1
+    assert classify(5, parse_word("s1 s2", 5)).matrix is None
+
+
+def test_pseudo_anosov_growth_at_large_t():
+    # the rescaled float product stays finite far beyond exp overflow, and
+    # log PF of a matrix with log-convex entries is convex in t
+    res = classify(5, parse_word(LARGE_T_WORD, 5))
+    assert res.braid_type == "pseudo_anosov"
+    with pytest.raises(OverflowError):
+        am.pf_eigenvalue(res.matrix, 300.0)
+    ts = (-1000.0, -300.0, 0.0, 300.0, 1000.0)
+    hs = [res.growth.evaluate(t) for t in ts]
+    assert all(math.isfinite(h) for h in hs)
+    slopes = [(hs[i + 1] - hs[i]) / (ts[i + 1] - ts[i]) for i in range(len(ts) - 1)]
+    assert all(a <= b + 1e-12 for a, b in zip(slopes, slopes[1:])), slopes
+    # against the exact matrix evaluated in the log domain, term by term
+    for t, h in zip(ts, hs):
+        assert h == pytest.approx(_log_domain_log_pf(res.matrix, t), rel=1e-12)
+
+
+def _log_domain_log_pf(matrix, t):
+    from braiddyn.fusion import pf_dim
+
+    def log_entry(p):
+        logs = [math.log(pf_dim(p.n, v)) + e * t for e, v in p.terms]
+        if not logs:
+            return -math.inf
+        top = max(logs)
+        return top + math.log(sum(math.exp(x - top) for x in logs))
+
+    (a, b), (c, d) = [[log_entry(p) for p in row] for row in matrix]
+    top = max(a, b, c, d)
+    a, b, c, d = (math.exp(x - top) for x in (a, b, c, d))
+    return top + math.log(0.5 * (a + d + math.sqrt((a - d) ** 2 + 4 * b * c)))
+
+
+# --- n = 3 trace oracle at long lengths ---------------------------------------------
+
+
+def _sl2_trace(runs):
+    """Trace of the B3 image in SL(2, Z): s1 -> [[1,1],[0,1]], s2 -> [[1,0],[-1,1]]."""
+    a, b, c, d = 1, 0, 0, 1
+    for g, e in runs:
+        if g == 1:  # right-multiply by [[1, e], [0, 1]]
+            b, d = a * e + b, c * e + d
+        else:  # right-multiply by [[1, 0], [-e, 1]]
+            a, c = a - b * e, c - d * e
+    return a + d
+
+
+def _run_text(runs):
+    return " ".join(f"s{g}^{e}" for g, e in runs)
+
+
+def test_n3_trace_oracle_long_words():
+    # B3 maps onto SL(2, Z); |tr| > 2 is pseudo-Anosov with dilatation the
+    # larger eigenvalue, |tr| < 2 is periodic.  Random long words are almost
+    # all pseudo-Anosov, so conjugates of periodic roots by long random
+    # words cover the other branch.
+    rng = random.Random(2023)
+
+    def random_runs():
+        count = rng.randint(40, 120)
+        return [(rng.choice((1, 2)), rng.choice((1, -1)) * rng.randint(1, 3)) for _ in range(count)]
+
+    words = [random_runs() for _ in range(200)]
+    for root in ([(1, 1), (2, 1)], [(1, 1), (2, 1), (1, 1)], [(2, -1), (1, -1)] * 2):
+        for _ in range(10):
+            c = random_runs()
+            words.append(c + root + [(g, -e) for g, e in reversed(c)])
+    seen = {"pseudo_anosov": 0, "periodic": 0}
+    for runs in words:
+        tr = abs(_sl2_trace(runs))
+        res = classify(3, parse_word(_run_text(runs), 3))
+        if tr > 2:
+            x = float(tr)
+            h0 = math.log(x) + math.log((1.0 + math.sqrt(1.0 - 4.0 / (x * x))) / 2.0)
+            assert res.braid_type == "pseudo_anosov", _run_text(runs)
+            assert res.h0() == pytest.approx(h0, rel=1e-8), _run_text(runs)
+            seen["pseudo_anosov"] += 1
+        elif tr < 2:
+            assert res.braid_type == "periodic", _run_text(runs)
+            seen["periodic"] += 1
+    assert seen["pseudo_anosov"] >= 190 and seen["periodic"] == 30

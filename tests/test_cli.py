@@ -134,3 +134,46 @@ def test_precision_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, ["classify", "--n", "5", "--word", "s1 s1 s2 s2", "--json"])
     assert code == 0
     assert json.loads(out)["h0"] == pytest.approx(2.123, abs=1e-12)
+
+
+def test_classify_at_large_t(capsys):
+    # the exact path matrix overflows math.exp here; h_t must not
+    word = "s1^2 s2^-2 s1 s2^-3 s1^2 s2^-1 s1 s2^-2"
+    code, out, err = run(capsys, ["classify", "--n", "5", "--word", word, "--t", "300", "--json"])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["type"] == "pseudo_anosov"
+    assert math.isfinite(report["h_at_t"]) and report["h_at_t"] > report["h0"]
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["estimate", "--n", "5", "--word", "s1 s2^-1", "--steps", "1"], "at least two iterations"),
+        (["estimate", "--n", "3", "--word", "s1 s2 s1"], "left the recognised region"),
+    ],
+)
+def test_computation_error_exit_code(capsys, argv, reason):
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and reason in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_estimate_classifies_each_word_once(capsys, monkeypatch):
+    import sys
+
+    # sys.modules: the package attribute braiddyn.classify is the function
+    calls = []
+    for owner in (sys.modules["braiddyn.classify"], sys.modules["braiddyn.cli"]):
+        real = owner.classify
+        monkeypatch.setattr(owner, "classify", lambda n, w, real=real: calls.append(w) or real(n, w))
+    code, out, _ = run(
+        capsys,
+        ["estimate", "--n", "4", "--word", "-", "--steps", "12", "--json"],
+        stdin="s2^2 s1^3\ns1 s2^-1\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0 and len(out.splitlines()) == 2
+    assert len(calls) == 2
