@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .braidword import NormalForm, TwistLetter, forbidden_source, target_vertex, twist_modulus
-from .fusion import FusionVec, MassPoly, eval_mass, mass_mul, pf_dim
+from .fusion import FusionVec, MassPoly, eval_mass, mass_dot, mass_mul, pf_dim
 from .twistcalc import U, V1, V2, SemistableUnit, support_column
 
 __all__ = [
@@ -113,9 +113,7 @@ def _scalar_matrix(n: int, label: int, exp: int) -> MassMatrix:
 
 def mat_mul(a: MassMatrix, b: MassMatrix) -> MassMatrix:
     return tuple(
-        tuple(
-            mass_mul(a[i][0], b[0][j]) + mass_mul(a[i][1], b[1][j]) for j in range(2)
-        )
+        tuple(mass_dot(((a[i][0], b[0][j]), (a[i][1], b[1][j]))) for j in range(2))
         for i in range(2)
     )
 

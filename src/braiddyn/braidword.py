@@ -6,9 +6,8 @@ side).  Words compose right-to-left: the rightmost letter acts first.
 
 The Burau representation is kept exact: matrix entries are Laurent
 polynomials in q whose coefficients are signed integer combinations of
-the simple fusion classes (the unsigned arithmetic lives in
-:mod:`braiddyn.fusion`; signs appear only here, because -q times the
-class of Pi_1 shows up in the generator matrices).  Specialising q to -1
+the simple fusion classes (signs appear because -q times the class of
+Pi_1 shows up in the generator matrices).  Specialising q to -1
 and taking Perron-Frobenius dimensions of the coefficients recovers the
 reflection representation of the dihedral group.
 
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import delta_value, fuse
+from .fusion import _laurent_dot, delta_value
 
 __all__ = [
     "BraidWord",
@@ -193,19 +192,6 @@ def _svec_add(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def _svec_mul(n: int, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (n - 1)
-    for a, ca in enumerate(u):
-        if ca == 0:
-            continue
-        for b, cb in enumerate(v):
-            if cb == 0:
-                continue
-            for c, m in enumerate(fuse(n, a, b).coeffs):
-                out[c] += ca * cb * m
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class QLaurent:
     """Laurent polynomial in q; coefficients are signed class combinations."""
@@ -224,6 +210,10 @@ class QLaurent:
         )
 
     @classmethod
+    def from_rows(cls, n: int, rows: dict[int, list[int]]) -> QLaurent:
+        return cls.from_dict(n, {e: tuple(row) for e, row in rows.items()})
+
+    @classmethod
     def term(cls, n: int, e: int, vec: tuple[int, ...]) -> QLaurent:
         return cls.from_dict(n, {e: vec})
 
@@ -238,13 +228,7 @@ class QLaurent:
         return QLaurent.from_dict(self.n, acc)
 
     def __mul__(self, other: QLaurent) -> QLaurent:
-        acc: dict[int, tuple[int, ...]] = {}
-        for e1, v1 in self.terms:
-            for e2, v2 in other.terms:
-                prod = _svec_mul(self.n, v1, v2)
-                e = e1 + e2
-                acc[e] = _svec_add(acc[e], prod) if e in acc else prod
-        return QLaurent.from_dict(self.n, acc)
+        return QLaurent.from_rows(self.n, _laurent_dot(self.n, [(self.terms, other.terms)]))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -266,8 +250,16 @@ BurauMatrix = tuple[tuple[QLaurent, QLaurent], tuple[QLaurent, QLaurent]]
 
 
 def _mat_mul(a: BurauMatrix, b: BurauMatrix) -> BurauMatrix:
+    n = a[0][0].n
     return tuple(
-        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)) for i in range(2)
+        tuple(
+            QLaurent.from_rows(
+                n,
+                _laurent_dot(n, ((a[i][0].terms, b[0][j].terms), (a[i][1].terms, b[1][j].terms))),
+            )
+            for j in range(2)
+        )
+        for i in range(2)
     )
 
 

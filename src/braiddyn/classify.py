@@ -30,13 +30,13 @@ reducible sigma_i^k chi^l has the piecewise-linear growth of
 t = 0.  `estimate_growth` is an independent estimator that never forms
 matrix products: it pushes the start vertex's basis units through the
 letter sequence with the unit-level support tables and returns a ratio
-of masses.
+of masses, taken as a difference of log masses so that it stays finite
+at large |t|.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -50,7 +50,8 @@ from .braidword import (
     to_normal_form,
     twist_modulus,
 )
-from .twistcalc import SemistableUnit, gamma_on_unit, letter_support, support_mass
+from .twistcalc import SemistableUnit, gamma_on_unit, letter_support, log_support_mass
+from .twistcalc import support_mass  # noqa: F401  the bench tracer wraps classify.support_mass
 
 __all__ = [
     "ClassificationResult",
@@ -365,7 +366,8 @@ def _estimate(res: ClassificationResult, N: int, t: float) -> float:
     support: dict[SemistableUnit, int] = {
         unit: 1 for unit in auto.vertices[witness.start].basis
     }
-    masses = [support_mass(n, support, t)]
+    # masses are kept as logs: e^(level t) overflows a float at large |t|
+    log_masses = [log_support_mass(n, support, t)]
     for _ in range(N):
         for letter in letters:
             new: dict[SemistableUnit, int] = {}
@@ -387,5 +389,5 @@ def _estimate(res: ClassificationResult, N: int, t: float) -> float:
                     for piece, mult in pieces.items():
                         new[piece] = new.get(piece, 0) + weight * mult
             support = new
-        masses.append(support_mass(n, support, t))
-    return math.log(masses[N] / masses[N - 1])
+        log_masses.append(log_support_mass(n, support, t))
+    return log_masses[N] - log_masses[N - 1]

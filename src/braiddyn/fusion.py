@@ -17,11 +17,23 @@ summand, the FusionVec records which simple classes decorate it.  Numeric
 evaluation sends [Pi_a] to its Perron-Frobenius dimension
 Delta_a(2 cos(pi/n)) and s to e^t; all structural decisions (zero
 patterns) are made on the symbolic side, never on floats.
+
+Every exact product in the package runs through one kernel.  The
+structure constants are multiplicity free, so ``_fusion_table(n)[a][b]``
+lists the labels c with [Pi_a] [Pi_b] containing [Pi_c], computed once
+per n.  ``_fuse_into`` adds the product of two coefficient rows into a
+plain list of ints, and ``_laurent_dot`` accumulates a sum of Laurent
+products x_1 y_1 + x_2 y_2 + ... into exponent -> row, so a 2x2 matrix
+entry a b + c d is one call.  Intermediate products are plain rows;
+results become ``FusionVec``/``MassPoly`` objects through their checking
+constructors.  Signed coefficients are allowed only in the kernel and in
+the Burau entries (``braidword.QLaurent``), which share it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +45,7 @@ __all__ = [
     "fuse",
     "pf_dim",
     "ring_mul",
+    "mass_dot",
     "mass_mul",
     "eval_mass",
 ]
@@ -139,19 +152,74 @@ class FusionVec:
         return FusionVec(self.n, tuple(m * c for c in self.coeffs))
 
 
+@lru_cache(maxsize=None)
+def _fusion_table(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Entry [a][b] lists the c with N_ab^c = 1 (truncated Clebsch-Gordan rule).
+
+    The summands of [Pi_a] [Pi_b] are Pi_{|a-b|}, Pi_{|a-b|+2}, ... up to
+    Pi_{a+b} when a+b <= n-2 and up to Pi_{2n-(a+b)-4} otherwise.
+    """
+    _check_n(n)
+
+    def summands(a: int, b: int) -> tuple[int, ...]:
+        top = a + b if a + b <= n - 2 else 2 * n - (a + b) - 4
+        return tuple(range(abs(a - b), top + 1, 2))
+
+    return tuple(tuple(summands(a, b) for b in range(n - 1)) for a in range(n - 1))
+
+
+def _nonzero(row) -> list[tuple[int, int]]:
+    return [(a, c) for a, c in enumerate(row) if c]
+
+
+def _fuse_into(
+    table, acc: list[int], u: list[tuple[int, int]], v: list[tuple[int, int]]
+) -> None:
+    """Add the product of u and v into the dense row ``acc``.
+
+    u and v are the nonzero (label, coefficient) pairs of two rows, as
+    given by ``_nonzero``; the coefficients may carry signs.
+    """
+    for a, ca in u:
+        by_b = table[a]
+        for b, cb in v:
+            m = ca * cb
+            for c in by_b[b]:
+                acc[c] += m
+
+
+def _laurent_dot(n: int, pairs) -> dict[int, list[int]]:
+    """Sum of the Laurent products x * y over ``pairs``, as exponent -> dense row.
+
+    x and y are sequences of (exponent, coefficient row) terms; exponents
+    add and rows multiply in the fusion ring.  Rows that cancel to zero
+    are kept; the caller's constructor drops them.
+    """
+    table = _fusion_table(n)
+    acc: dict[int, list[int]] = {}
+    for x, y in pairs:
+        ys = [(e, _nonzero(row)) for e, row in y]
+        for e1, row in x:
+            u = _nonzero(row)
+            for e2, v in ys:
+                out = acc.get(e1 + e2)
+                if out is None:
+                    out = acc[e1 + e2] = [0] * (n - 1)
+                _fuse_into(table, out, u, v)
+    return acc
+
+
 def fuse(n: int, a: int, b: int) -> FusionVec:
     """Decompose [Pi_a] * [Pi_b] as a multiplicity-free sum of simples.
 
-    The summands are Pi_{|a-b|}, Pi_{|a-b|+2}, ... up to Pi_{a+b} when
-    a+b <= n-2 and up to Pi_{2n-(a+b)-4} otherwise.
+    The summands are listed by ``_fusion_table``.
     """
     _check_n(n)
     for lbl in (a, b):
         if not 0 <= lbl <= n - 2:
             raise ValueError(f"label {lbl} out of range for n={n}")
-    top = a + b if a + b <= n - 2 else 2 * n - (a + b) - 4
     coeffs = [0] * (n - 1)
-    for c in range(abs(a - b), top + 1, 2):
+    for c in _fusion_table(n)[a][b]:
         coeffs[c] = 1
     return FusionVec(n, tuple(coeffs))
 
@@ -160,15 +228,9 @@ def ring_mul(u: FusionVec, v: FusionVec) -> FusionVec:
     """Bilinear extension of ``fuse`` to arbitrary nonnegative combinations."""
     if u.n != v.n:
         raise ValueError("mismatched fusion parameters")
-    out = FusionVec.zero(u.n)
-    for a, ca in enumerate(u.coeffs):
-        if ca == 0:
-            continue
-        for b, cb in enumerate(v.coeffs):
-            if cb == 0:
-                continue
-            out = out + fuse(u.n, a, b).scaled(ca * cb)
-    return out
+    out = [0] * (u.n - 1)
+    _fuse_into(_fusion_table(u.n), out, _nonzero(u.coeffs), _nonzero(v.coeffs))
+    return FusionVec(u.n, tuple(out))
 
 
 def pf_dim(n: int, v: FusionVec) -> float:
@@ -206,6 +268,13 @@ class MassPoly:
     @classmethod
     def from_dict(cls, n: int, d: dict[int, FusionVec]) -> MassPoly:
         return cls(n, tuple(sorted((e, v) for e, v in d.items() if not v.is_zero())))
+
+    @classmethod
+    def from_rows(cls, n: int, rows: dict[int, list[int]]) -> MassPoly:
+        """From exponent -> coefficient row; zero rows are dropped, the rest checked."""
+        return cls(
+            n, tuple((e, FusionVec(n, tuple(row))) for e, row in sorted(rows.items()) if any(row))
+        )
 
     @classmethod
     def zero(cls, n: int) -> MassPoly:
@@ -251,17 +320,21 @@ class MassPoly:
         )
 
 
+def _rows(p: MassPoly) -> list[tuple[int, tuple[int, ...]]]:
+    return [(e, v.coeffs) for e, v in p.terms]
+
+
+def mass_dot(pairs: Sequence[tuple[MassPoly, MassPoly]]) -> MassPoly:
+    """p_1 q_1 + p_2 q_2 + ... over a nonempty sequence of (p, q) pairs, in one accumulation."""
+    n = pairs[0][0].n
+    if any(p.n != n or q.n != n for p, q in pairs):
+        raise ValueError("mismatched fusion parameters")
+    return MassPoly.from_rows(n, _laurent_dot(n, [(_rows(p), _rows(q)) for p, q in pairs]))
+
+
 def mass_mul(p: MassPoly, q: MassPoly) -> MassPoly:
     """Product of mass polynomials; exponents add, coefficients fuse."""
-    if p.n != q.n:
-        raise ValueError("mismatched fusion parameters")
-    acc: dict[int, FusionVec] = {}
-    for e1, v1 in p.terms:
-        for e2, v2 in q.terms:
-            prod = ring_mul(v1, v2)
-            e = e1 + e2
-            acc[e] = acc[e] + prod if e in acc else prod
-    return MassPoly.from_dict(p.n, acc)
+    return mass_dot(((p, q),))
 
 
 def eval_mass(p: MassPoly, t: float) -> float:

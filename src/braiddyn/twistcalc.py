@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .braidword import TwistLetter, twist_modulus
-from .fusion import FusionVec, MassPoly, delta_value, fuse
+from .fusion import FusionVec, MassPoly, _fusion_table, delta_value
 
 __all__ = [
     "RawObject",
@@ -41,6 +42,7 @@ __all__ = [
     "SemistableUnit",
     "gamma_on_unit",
     "letter_support",
+    "log_support_mass",
     "support_charge",
     "support_mass",
     "twist_segment",
@@ -111,10 +113,10 @@ def gamma_on_unit(n: int, u: SemistableUnit, direction: int) -> SemistableUnit:
     m = twist_modulus(n)
     j = u.index + direction
     if 0 <= j < m:
-        return replace(u, index=j)
+        return SemistableUnit(u.family, j, u.label, u.level)
     j %= m
     if n % 2:
-        return replace(u, index=j, level=u.level - 2 * direction)
+        return SemistableUnit(u.family, j, u.label, u.level - 2 * direction)
     return SemistableUnit(u.family, j, n - 2 - u.label, u.level - direction)
 
 
@@ -268,9 +270,31 @@ def letter_support(
     are pushed forward by gamma^j again.  Non-viable (letter, unit)
     combinations - the unit sits over the forbidden source vertex -
     raise LookupError; normal forms never produce them.
+
+    The support of the unit at level 0 is computed once per (n, letter,
+    family, index, label) and kept; a call shifts each cached piece by
+    the unit's level.  That is exact because the level only ever moves by
+    a constant: ``gamma_on_unit`` and the base tables add offsets that
+    depend on family, index and label but never on the level itself.
+    Each call returns a new dict.
     """
     _check_unit(n, u)
-    red = u
+    shift = u.level
+    return {
+        SemistableUnit(family, index, label, level + shift): mult
+        for (family, index, label, level), mult in _level0_support(
+            n, letter, u.family, u.index, u.label
+        )
+    }
+
+
+@lru_cache(maxsize=None)
+def _level0_support(
+    n: int, letter: TwistLetter, family: str, index: int, label: int
+) -> tuple[tuple[tuple[str, int, int, int], int], ...]:
+    # Fewer than 2n^3 entries per n: letters x units x labels.  A forbidden
+    # source raises, and lru_cache keeps no entry for it.
+    red = SemistableUnit(family, index, label)
     for _ in range(letter.index):
         red = gamma_on_unit(n, red, -1)
     pieces = _base_pieces(n, letter.family, red.family, red.index)
@@ -282,18 +306,30 @@ def letter_support(
     slots = _slot_units(letter.family)
     out: dict[SemistableUnit, int] = {}
     for slot, x, c in pieces:
-        for b, mult in enumerate(fuse(n, x, red.label).coeffs):
-            if mult == 0:
-                continue
-            piece = replace(slots[slot], label=b, level=c + red.level)
+        for b in _fusion_table(n)[x][red.label]:
+            piece = SemistableUnit(slots[slot].family, slots[slot].index, b, c + red.level)
             for _ in range(letter.index):
                 piece = gamma_on_unit(n, piece, 1)
-            out[piece] = out.get(piece, 0) + mult
-    return out
+            out[piece] = out.get(piece, 0) + 1
+    return tuple(((p.family, p.index, p.label, p.level), mult) for p, mult in out.items())
 
 
 def support_mass(n: int, support: dict[SemistableUnit, int], t: float) -> float:
     return sum(w * unit_mass(n, u, t) for u, w in support.items())
+
+
+def log_support_mass(n: int, support: dict[SemistableUnit, int], t: float) -> float:
+    """log support_mass(n, support, t), summed in the log domain.
+
+    Each term is kept as phase*t + log(weight * Delta_label) and the sum
+    is taken as a log-sum-exp, so it is finite however large |t| is.
+    """
+    logs = [
+        float(unit_phase(n, u)) * t + math.log(w) + math.log(delta_value(n, u.label))
+        for u, w in support.items()
+    ]
+    top = max(logs)
+    return top + math.log(sum(math.exp(x - top) for x in logs))
 
 
 def support_charge(n: int, support: dict[SemistableUnit, int]) -> complex:

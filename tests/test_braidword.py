@@ -22,6 +22,7 @@ from braiddyn.braidword import (
     to_normal_form,
     twist_modulus,
 )
+from test_fusion import oracle_laurent_dot
 
 
 # --- parsing -----------------------------------------------------------------
@@ -234,3 +235,33 @@ def test_target_and_forbidden_vertices():
     assert target_vertex(4, TwistLetter(2, 1)) == ("u", 1)
     assert forbidden_source(4, TwistLetter(2, 1)) == ("v", 1)
     assert forbidden_source(4, TwistLetter(1, 0)) == ("u", 1)
+
+
+# --- signed products through the shared kernel ---------------------------------
+
+
+@st.composite
+def signed_laurent(draw, n):
+    terms = draw(
+        st.dictionaries(
+            st.integers(-4, 4),
+            st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1).map(tuple),
+            max_size=4,
+        )
+    )
+    return QLaurent.from_dict(n, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_qlaurent_products_match_oracle(data):
+    from braiddyn.braidword import _mat_mul
+
+    n = data.draw(st.integers(3, 12))
+    a, b, c, d = (data.draw(signed_laurent(n)) for _ in range(4))
+    assert dict((a * b).terms) == oracle_laurent_dot(n, [(dict(a.terms), dict(b.terms))])
+    zero = QLaurent.zero(n)
+    (entry, _), _ = _mat_mul(((a, c), (zero, zero)), ((b, zero), (d, zero)))
+    assert dict(entry.terms) == oracle_laurent_dot(
+        n, [(dict(a.terms), dict(b.terms)), (dict(c.terms), dict(d.terms))]
+    )

@@ -358,6 +358,33 @@ def test_estimator_rejects_tiny_n_steps():
         estimate_growth(5, parse_word("s1", 5), N=1)
 
 
+# Penner words whose ratio estimate converges to the closed form within a few steps
+PENNER_WORDS = ((5, "s1 s2^-1"), (8, "s1^2 s2^-1"), (3, "s1 s2^-2"))
+
+
+@pytest.mark.parametrize("n, text", PENNER_WORDS)
+def test_estimator_matches_closed_form(n, text):
+    w = parse_word(text, n)
+    res = classify(n, w)
+    assert res.braid_type == "pseudo_anosov"
+    for N in (8, 24):
+        for t in (-2.0, -1.0, 0.0, 1.0, 2.0):
+            assert estimate_growth(n, w, N=N, t=t) == pytest.approx(
+                res.growth.evaluate(t), abs=1e-9
+            ), (N, t)
+
+
+@pytest.mark.parametrize("n, text", PENNER_WORDS)
+def test_estimator_at_large_t(n, text):
+    # unit masses e^(phase t) overflow a float here; the log masses do not
+    w = parse_word(text, n)
+    res = classify(n, w)
+    for t in (-1000.0, -300.0, 300.0, 1000.0):
+        est = estimate_growth(n, w, N=24, t=t)
+        assert math.isfinite(est)
+        assert est == pytest.approx(res.growth.evaluate(t), rel=1e-12), t
+
+
 # --- classification without exact products ----------------------------------------
 
 # a pseudo-Anosov word whose exact path matrix overflows math.exp at |t| = 300

@@ -146,6 +146,17 @@ def test_classify_at_large_t(capsys):
     assert math.isfinite(report["h_at_t"]) and report["h_at_t"] > report["h0"]
 
 
+@pytest.mark.parametrize("t", ["1000", "-1000"])
+def test_estimate_at_large_t(capsys, t):
+    code, out, err = run(
+        capsys, ["estimate", "--n", "5", "--word", "s1 s2^-1", "--t", t, "--json"]
+    )
+    assert code == 0, err
+    data = json.loads(out)
+    assert math.isfinite(data["estimate"])
+    assert data["estimate"] == pytest.approx(data["closed_form"], rel=1e-9)
+
+
 @pytest.mark.parametrize(
     "argv, reason",
     [

@@ -1,8 +1,10 @@
 import math
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braiddyn.automaton import mat_mul
 from braiddyn.fusion import (
     FusionVec,
     MassPoly,
@@ -10,6 +12,7 @@ from braiddyn.fusion import (
     delta_value,
     eval_mass,
     fuse,
+    mass_dot,
     mass_mul,
     pf_dim,
     ring_mul,
@@ -245,3 +248,91 @@ def test_fold_preserves_dimension_and_multiplies():
         assert pf_dim(n, u.fold()) == pytest.approx(pf_dim(n, u), abs=1e-9)
         v = FusionVec.simple(n, n - 2)
         assert ring_mul(u, v).fold() == u.fold()
+
+
+# --- differential tests of the shared product kernel ---------------------------
+# The reference multiplies plain lists through the polynomial oracle above; it
+# shares no code with the structure-constant table.
+
+
+@lru_cache(maxsize=None)
+def oracle_table(n):
+    return [[fuse_oracle(n, a, b) for b in range(n - 1)] for a in range(n - 1)]
+
+
+def oracle_row_mul(n, u, v):
+    out = [0] * (n - 1)
+    table = oracle_table(n)
+    for a, ca in enumerate(u):
+        for b, cb in enumerate(v):
+            for c, m in enumerate(table[a][b]):
+                out[c] += ca * cb * m
+    return out
+
+
+def oracle_laurent_dot(n, pairs):
+    """Sum of x * y over pairs of {exponent: row} dicts; zero rows dropped."""
+    acc = {}
+    for x, y in pairs:
+        for e1, u in x.items():
+            for e2, v in y.items():
+                row = acc.setdefault(e1 + e2, [0] * (n - 1))
+                for c, m in enumerate(oracle_row_mul(n, u, v)):
+                    row[c] += m
+    return {e: tuple(row) for e, row in acc.items() if any(row)}
+
+
+def as_dict(p):
+    return {e: v.coeffs for e, v in p.terms}
+
+
+@st.composite
+def mass_poly(draw, n):
+    terms = draw(
+        st.dictionaries(
+            st.integers(-4, 4),
+            st.lists(st.integers(0, 5), min_size=n - 1, max_size=n - 1),
+            max_size=4,
+        )
+    )
+    return MassPoly.from_dict(n, {e: FusionVec(n, tuple(c)) for e, c in terms.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ring_mul_matches_oracle(data):
+    n = data.draw(st.integers(3, 12))
+    u = data.draw(fusion_vec(n))
+    v = data.draw(fusion_vec(n))
+    assert list(ring_mul(u, v).coeffs) == oracle_row_mul(n, u.coeffs, v.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mass_mul_and_fused_entry_match_oracle(data):
+    n = data.draw(st.integers(3, 12))
+    a, b, c, d = (data.draw(mass_poly(n)) for _ in range(4))
+    assert as_dict(mass_mul(a, b)) == oracle_laurent_dot(n, [(as_dict(a), as_dict(b))])
+    want = oracle_laurent_dot(n, [(as_dict(a), as_dict(b)), (as_dict(c), as_dict(d))])
+    assert as_dict(mass_dot([(a, b), (c, d)])) == want
+    # one entry of a 2x2 product is the fused a*b + c*d
+    zero = MassPoly.zero(n)
+    (entry, _), _ = mat_mul(((a, c), (zero, zero)), ((b, zero), (d, zero)))
+    assert as_dict(entry) == want
+
+
+def test_negative_coefficient_from_a_product_is_rejected():
+    # a FusionVec planted with a negative coefficient, bypassing its check,
+    # must not survive a product: results go through the checking constructor
+    bad = object.__new__(FusionVec)
+    object.__setattr__(bad, "n", 5)
+    object.__setattr__(bad, "coeffs", (0, -1, 0, 0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        ring_mul(bad, FusionVec.simple(5, 1))
+    planted = object.__new__(MassPoly)
+    object.__setattr__(planted, "n", 5)
+    object.__setattr__(planted, "terms", ((1, bad),))
+    with pytest.raises(ValueError, match="nonnegative"):
+        mass_mul(planted, MassPoly.monomial(5, 2, -1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        mass_dot([(MassPoly.one(5), MassPoly.one(5)), (planted, MassPoly.monomial(5, 1))])

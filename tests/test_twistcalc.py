@@ -267,3 +267,71 @@ def test_decorations_fuse_through_letters():
                 key = SemistableUnit(piece.family, piece.index, b, piece.level - 1)
                 rebuilt[key] = rebuilt.get(key, 0) + w * c
     assert supp == rebuilt
+
+
+# --- the level-0 support cache -------------------------------------------------------
+
+
+def _support_uncached(n, letter, u):
+    """letter_support by the definition: pull back, read the base table, fuse, push forward."""
+    from braiddyn.twistcalc import _base_pieces, _slot_units
+
+    red = u
+    for _ in range(letter.index):
+        red = gamma_on_unit(n, red, -1)
+    pieces = _base_pieces(n, letter.family, red.family, red.index)
+    if pieces is None:
+        return None
+    out = {}
+    for slot, x, c in pieces:
+        for b, mult in enumerate(fuse(n, x, red.label).coeffs):
+            if mult:
+                base = _slot_units(letter.family)[slot]
+                piece = SemistableUnit(base.family, base.index, b, c + red.level)
+                for _ in range(letter.index):
+                    piece = gamma_on_unit(n, piece, 1)
+                out[piece] = out.get(piece, 0) + mult
+    return out
+
+
+def _shifted(support, level):
+    return {
+        SemistableUnit(p.family, p.index, p.label, p.level + level): w
+        for p, w in support.items()
+    }
+
+
+def test_level_shift_commutes_with_support():
+    for n in range(3, 10):
+        for letter in all_letters(n):
+            for bare in all_units(n):
+                for label in range(n - 1):
+                    at0 = SemistableUnit(bare.family, bare.index, label, 0)
+                    want0 = _support_uncached(n, letter, at0)
+                    for level in (-3, 0, 5):
+                        u = SemistableUnit(bare.family, bare.index, label, level)
+                        if want0 is None:
+                            with pytest.raises(LookupError):
+                                letter_support(n, letter, u)
+                            continue
+                        got = letter_support(n, letter, u)
+                        assert got == _shifted(letter_support(n, letter, at0), level)
+                        assert got == _support_uncached(n, letter, u), (n, letter, u)
+
+
+def test_support_result_is_a_fresh_dict():
+    letter, u = TwistLetter(1, 0), SemistableUnit(V2, 1, 1, 2)
+    first = letter_support(5, letter, u)
+    want = dict(first)
+    assert want
+    first.clear()
+    first[SemistableUnit(V1, 0)] = 99
+    assert letter_support(5, letter, u) == want
+
+
+def test_forbidden_pair_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(LookupError):
+            letter_support(5, TwistLetter(1, 0), SemistableUnit(V1, 2, 1, 4))
+        with pytest.raises(LookupError):
+            letter_support(4, TwistLetter(2, 0), SemistableUnit(V1, 0, 0, -2))
