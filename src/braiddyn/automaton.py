@@ -18,6 +18,15 @@ even n, and the inverses on gamma^-1).  Entries always have nonnegative
 coefficients, so an entry is strictly positive for every t exactly when
 it is a nonzero polynomial; zero patterns are read off symbolically.
 
+Recognition is one deterministic pass.  Gamma arrows leave every vertex,
+and a twist letter y leaves every vertex except forbidden_source(y), so a
+letter sequence is recognised exactly when every pair of consecutive
+twist letters x ... y with g net gammas between them has
+forbidden_source(y) != gamma^g(target_vertex(x)) (``joins``).  The start
+vertex matters only for the gammas before the first twist letter, and
+the end vertex does not depend on it at all, so the witness is fixed
+without trying start vertices.
+
 Classification never forms the exact product of a path.  Its zero
 pattern is the product of the arrows' 2x2 Boolean supports: the supports
 are read from the exact entries, and a product of nonzero entries with
@@ -45,6 +54,7 @@ __all__ = [
     "PathWitness",
     "Vertex",
     "build",
+    "joins",
     "log_pf",
     "path_matrix",
     "path_zero_pattern",
@@ -267,37 +277,84 @@ def simulate(
     return tuple(out)
 
 
+def joins(n: int, first: TwistLetter, gammas: int, second: TwistLetter) -> bool:
+    """Can ``second`` be read after ``first`` followed by ``gammas`` net gamma steps?
+
+    ``first`` ends at its target vertex, gamma^g moves the index of that
+    vertex by g, and ``second`` leaves every vertex but its forbidden
+    source.  ``joins(n, x, 0, x)`` always holds.
+    """
+    kind, j = target_vertex(n, first)
+    return forbidden_source(n, second) != (kind, (j + gammas) % twist_modulus(n))
+
+
+def _witness_start(
+    auto: MassAutomaton, letters: list[TwistLetter | int], require_closed: bool
+) -> VertexId | None:
+    """Start vertex of the witness for a letter sequence; None if it jams everywhere.
+
+    One pass checks ``joins`` for each pair of consecutive twist letters.
+    With no twist letter every start is legal and v_0 is taken.
+    Otherwise the end vertex, gamma^g(target of the last twist letter),
+    is the same from every start, so the only start that can close up is
+    the end vertex itself; it is taken under ``require_closed`` when the
+    first twist letter can leave it after the leading gammas.  Failing
+    that, the start is the first vertex in ``vertex_order`` that the first
+    twist letter can leave.  That is the witness a scan of all start
+    vertices in that order would return.
+    """
+    n = auto.n
+    first: TwistLetter | None = None
+    prev: TwistLetter | None = None
+    lead = g = 0  # net gammas before the first twist letter / since the last one
+    for letter in letters:
+        if isinstance(letter, int):
+            g += letter
+            continue
+        if prev is None:
+            first, lead = letter, g
+        elif not joins(n, prev, g, letter):
+            return None
+        prev, g = letter, 0
+    order = auto.vertex_order()
+    if first is None:
+        return order[0]
+    m = twist_modulus(n)
+    banned = forbidden_source(n, first)
+
+    def legal(v: VertexId) -> bool:
+        return (v[0], (v[1] + lead) % m) != banned
+
+    kind, j = target_vertex(n, prev)
+    end = (kind, (j + g) % m)
+    if require_closed and legal(end):
+        return end
+    return next(v for v in order if legal(v))
+
+
 def recognize(
     auto: MassAutomaton, nf: NormalForm, require_closed: bool = False
 ) -> PathWitness | None:
-    """Deterministic word recognition, scanning start vertices v_0.., u_0..
+    """Deterministic word recognition in one pass (see ``_witness_start``).
 
-    Twist letters force their target vertex, so the only search is over
-    the start vertex.  Returns the first witness in scan order; with
-    ``require_closed`` a closed witness is preferred, falling back to
-    the first witness when no start vertex closes up.
+    Returns the witness from the first start vertex in the order v_0..,
+    u_0.. from which the word is read; with ``require_closed`` a closed
+    witness is preferred, falling back to that first witness when none
+    closes up.  Only the end vertex can close up, so the choice needs no
+    scan over start vertices; the arrows are then followed once.
     """
     letters = nf.letters_applied()
-    first: PathWitness | None = None
-    for start in auto.vertex_order():
-        path = simulate(auto, letters, start)
-        if path is None:
-            continue
-        end = path[-1].target if path else start
-        witness = PathWitness(start, path, end == start)
-        if not require_closed:
-            return witness
-        if witness.closed:
-            return witness
-        if first is None:
-            first = witness
-    return first
+    start = _witness_start(auto, letters, require_closed)
+    if start is None:
+        return None
+    path = simulate(auto, letters, start)
+    end = path[-1].target if path else start
+    return PathWitness(start, path, end == start)
 
 
 def recognizes_word(auto: MassAutomaton, letters: list[TwistLetter | int]) -> bool:
-    return any(
-        simulate(auto, letters, start) is not None for start in auto.vertex_order()
-    )
+    """Is the letter sequence read from some start vertex?  One pass, no arrows."""
+    return _witness_start(auto, letters, False) is not None
 
 
 def path_matrix(auto: MassAutomaton, path: PathWitness) -> MassMatrix:

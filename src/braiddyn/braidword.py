@@ -104,11 +104,12 @@ class BraidWord:
         return BraidWord(self.n, tuple((g, -s) for g, s in reversed(self.letters)))
 
     def __pow__(self, e: int) -> BraidWord:
+        """|e| copies of the word (of its inverse for e < 0), reduced once.
+
+        Free reduction is confluent, so this equals |e| products.
+        """
         base = self if e >= 0 else self.inverse()
-        out = BraidWord.identity(self.n)
-        for _ in range(abs(e)):
-            out = out * base
-        return out
+        return BraidWord(self.n, base.letters * abs(e))
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -4,12 +4,17 @@ Given a word, rewrite it into automaton normal form
 b_k^{m_k} ... b_1^{m_1} gamma^s and run:
 
 1. no twist letters: the braid is gamma^s, periodic;
-2. one twist letter: if the squared word is not recognised the braid
-   squares to gamma^(2s+1) and is periodic; otherwise the word itself is
-   recognised by a closed path;
-3. two or more: test the conjugated word b_k^{m_k-1} ... gamma^s b_k;
-   if unrecognised, conjugation shortens the normal form strictly
-   (b_1 gamma^s b_k collapses into gamma^(s+1)) and we loop;
+2. one twist letter b: if b cannot follow itself across gamma^s
+   (``automaton.joins(n, b, s, b)`` fails) the squared word is not
+   recognised, the braid squares to gamma^(2s+1) and is periodic;
+   otherwise the word itself is recognised by a closed path;
+3. two or more: the conjugated word b_k^{m_k-1} ... b_1^{m_1} gamma^s b_k
+   is recognised exactly when b_1 can follow b_k across gamma^s,
+   ``joins(n, b_k, s, b_1)``, since the normal form already makes every
+   other adjacent pair viable and a letter can always follow itself.
+   That is an O(1) test per round.  If it fails, conjugation shortens
+   the normal form strictly (b_1 gamma^s b_k collapses into gamma^(s+1))
+   and we loop;
 4. with a closed path in hand, the zero pattern of its mass matrix
    decides everything: diagonal = periodic, triangular = reducible with
    an explicit conjugate sigma_i^k chi^l, full = pseudo-Anosov with mass
@@ -279,9 +284,9 @@ def classify(n: int, w: BraidWord) -> ClassificationResult:
                 growth, (n, s), rounds,
             )
 
+        b_1, b_k = nf.blocks[0][0], nf.blocks[-1][0]
         if total == 1:
-            doubled = nf.letters_applied() * 2
-            if not am.recognizes_word(auto, doubled):
+            if not am.joins(n, b_1, s, b_1):
                 if n % 2 == 0:
                     logger.warning("even-n squared word unrecognised; unexpected")
                 # beta^2 = gamma^(2s+1), so beta^(2n) = gamma^((2s+1) n)
@@ -292,13 +297,7 @@ def classify(n: int, w: BraidWord) -> ClassificationResult:
                 )
             break
 
-        b_k, m_k = nf.blocks[-1]
-        probe: list[TwistLetter | int] = [b_k]
-        probe += [1 if s >= 0 else -1] * abs(s)
-        for letter, mult in nf.blocks[:-1]:
-            probe += [letter] * mult
-        probe += [b_k] * (m_k - 1)
-        if am.recognizes_word(auto, probe):
+        if am.joins(n, b_k, s, b_1):
             break
 
         # shorten: b_1 gamma^s b_k = gamma^(s+1) after pushing gammas right

@@ -7,10 +7,11 @@ Four subcommands: ``classify`` (type + mass growth of a word), ``burau``
 stdin line and reports in input order.
 
 Exit codes: 0 success, 2 word syntax error (message carries the byte
-offset), 3 invalid n, 4 a computation error such as ``estimate --steps 1``
-or a word the estimator cannot iterate (one ``error: ...`` line on
-stderr).  Reals are printed with 9 decimal places by default; the
-environment variable BRAIDDYN_PRECISION overrides this.
+offset), 3 invalid n, 4 a computation error such as ``estimate --steps 1``,
+a word the estimator cannot iterate, or a ``RuntimeError`` from the
+guards of the classification loop (one ``error: ...`` line on stderr).
+Reals are printed with 9 decimal places by default; the environment
+variable BRAIDDYN_PRECISION overrides this.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     except WordSyntaxError as exc:
         print(f"word syntax error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

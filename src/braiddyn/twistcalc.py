@@ -78,17 +78,19 @@ def _check_unit(n: int, u: SemistableUnit) -> None:
         raise ValueError(f"unit label {u.label} out of range for n={n}")
 
 
+def _phase_numerator(n: int, family: str, index: int) -> int:
+    """n times the phase of the undecorated level-0 unit."""
+    if family == V1:
+        return -2 * index
+    if family == V2:
+        return n - 2 * index - 1
+    return n - 2 * index - 2
+
+
 def unit_phase(n: int, u: SemistableUnit) -> Fraction:
     """Exact phase; the decoration level shifts it by an integer."""
     _check_unit(n, u)
-    j = u.index
-    if u.family == V1:
-        base = Fraction(-2 * j, n)
-    elif u.family == V2:
-        base = 1 - Fraction(2 * j + 1, n)
-    else:
-        base = 1 - Fraction(2 * j + 2, n)
-    return base + u.level
+    return Fraction(_phase_numerator(n, u.family, u.index), n) + u.level
 
 
 def unit_mass(n: int, u: SemistableUnit, t: float) -> float:
@@ -322,14 +324,24 @@ def log_support_mass(n: int, support: dict[SemistableUnit, int], t: float) -> fl
     """log support_mass(n, support, t), summed in the log domain.
 
     Each term is kept as phase*t + log(weight * Delta_label) and the sum
-    is taken as a log-sum-exp, so it is finite however large |t| is.
+    is taken as a log-sum-exp, so it is finite however large |t| is.  The
+    phase numerator over n and log Delta_label are read from a table kept
+    per (n, family, index, label); the phase is then one correctly
+    rounded integer division, the same float as ``float(unit_phase(n, u))``.
     """
-    logs = [
-        float(unit_phase(n, u)) * t + math.log(w) + math.log(delta_value(n, u.label))
-        for u, w in support.items()
-    ]
+    logs = []
+    for u, w in support.items():
+        num, log_delta = _unit_log_terms(n, u.family, u.index, u.label)
+        logs.append((num + u.level * n) / n * t + math.log(w) + log_delta)
     top = max(logs)
     return top + math.log(sum(math.exp(x - top) for x in logs))
+
+
+@lru_cache(maxsize=None)
+def _unit_log_terms(n: int, family: str, index: int, label: int) -> tuple[int, float]:
+    # at most 3n^2 entries per n: families x indices x labels
+    _check_unit(n, SemistableUnit(family, index, label))
+    return _phase_numerator(n, family, index), math.log(delta_value(n, label))
 
 
 def support_charge(n: int, support: dict[SemistableUnit, int]) -> complex:

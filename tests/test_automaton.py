@@ -3,11 +3,14 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braiddyn.automaton import (
     PathWitness,
     _identity_matrix,
+    _witness_start,
     build,
+    joins,
     log_pf,
     mat_mul,
     path_matrix,
@@ -18,7 +21,14 @@ from braiddyn.automaton import (
     simulate,
     zero_pattern,
 )
-from braiddyn.braidword import BraidWord, NormalForm, TwistLetter, to_normal_form, twist_modulus
+from braiddyn.braidword import (
+    BraidWord,
+    NormalForm,
+    TwistLetter,
+    pair_viable,
+    to_normal_form,
+    twist_modulus,
+)
 from braiddyn.fusion import FusionVec, MassPoly, eval_mass, mass_mul
 
 SQ2 = math.sqrt(2)
@@ -159,6 +169,116 @@ def test_recognize_prefers_closed_but_falls_back():
     nf = NormalForm(5, ((TwistLetter(1, 0), 1),), 5)
     witness = recognize(auto, nf, require_closed=True)
     assert witness is not None and witness.closed and witness.start == ("v", 0)
+
+
+# The scan over every start vertex that recognition used before it became one
+# pass; kept here as the oracle for the pass.
+
+
+def scan_witness(auto, letters, require_closed=False):
+    first = None
+    for start in auto.vertex_order():
+        path = simulate(auto, letters, start)
+        if path is None:
+            continue
+        end = path[-1].target if path else start
+        witness = PathWitness(start, path, end == start)
+        if not require_closed:
+            return witness
+        if witness.closed:
+            return witness
+        if first is None:
+            first = witness
+    return first
+
+
+def scan_recognize(auto, nf, require_closed=False):
+    return scan_witness(auto, nf.letters_applied(), require_closed)
+
+
+def scan_recognizes_word(auto, letters):
+    return any(simulate(auto, letters, start) is not None for start in auto.vertex_order())
+
+
+_AUTOMATA = {n: build(n) for n in range(3, 17)}
+
+
+def twist_letters(n):
+    return _AUTOMATA[n].letters()
+
+
+@st.composite
+def letter_sequences(draw):
+    n = draw(st.integers(3, 16))
+    letter = st.one_of(st.sampled_from([1, -1]), st.sampled_from(twist_letters(n)))
+    return n, draw(st.lists(letter, max_size=14))
+
+
+@st.composite
+def normal_forms(draw):
+    n = draw(st.integers(3, 16))
+    m = twist_modulus(n)
+    blocks, prev = [], None
+    for _ in range(draw(st.integers(0, 6))):
+        allowed = [
+            x for x in twist_letters(n) if prev is None or (x != prev and pair_viable(n, x, prev))
+        ]
+        prev = draw(st.sampled_from(allowed))
+        blocks.append((prev, draw(st.integers(1, 3))))
+    return NormalForm(n, tuple(blocks), draw(st.integers(-2 * m, 2 * m)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(letter_sequences())
+def test_one_pass_matches_scan_on_letter_sequences(case):
+    n, letters = case
+    auto = _AUTOMATA[n]
+    assert recognizes_word(auto, letters) == scan_recognizes_word(auto, letters)
+    for require_closed in (False, True):
+        want = scan_witness(auto, letters, require_closed)
+        got = _witness_start(auto, letters, require_closed)
+        assert got == (want.start if want else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(normal_forms(), st.booleans())
+def test_one_pass_matches_scan_on_normal_forms(nf, require_closed):
+    auto = _AUTOMATA[nf.n]
+    got = recognize(auto, nf, require_closed=require_closed)
+    assert got == scan_recognize(auto, nf, require_closed=require_closed)
+    assert got is not None  # a normal form is always recognised
+    doubled = nf.letters_applied() * 2
+    assert recognizes_word(auto, doubled) == scan_recognizes_word(auto, doubled)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
+def test_one_pass_matches_scan_on_random_words(n):
+    rng = random.Random(3000 + n)
+    auto = _AUTOMATA[n]
+    closed = 0
+    for _ in range(150):
+        k = rng.randint(0, 20)
+        w = BraidWord(n, tuple((rng.choice((1, 2)), rng.choice((1, -1))) for _ in range(k)))
+        nf = to_normal_form(w)
+        for require_closed in (False, True):
+            got = recognize(auto, nf, require_closed=require_closed)
+            assert got == scan_recognize(auto, nf, require_closed=require_closed)
+            closed += got.closed
+    assert closed > 0
+
+
+def test_joins_is_the_pair_rule():
+    for n in range(3, 17):
+        m = twist_modulus(n)
+        for x in twist_letters(n):
+            assert joins(n, x, 0, x)
+            for y in twist_letters(n):
+                assert joins(n, x, 0, y) == pair_viable(n, y, x)
+                for g in range(-m - 1, m + 2):
+                    gammas = [1 if g > 0 else -1] * abs(g)
+                    assert joins(n, x, g, y) == scan_recognizes_word(
+                        _AUTOMATA[n], [x, *gammas, y]
+                    )
 
 
 # --- path matrices --------------------------------------------------------------

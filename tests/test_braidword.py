@@ -61,6 +61,17 @@ def test_free_reduction_and_inverse():
     assert (w * w.inverse()).letters == ()
 
 
+@pytest.mark.parametrize("text", ["s1", "s1 s2 s1^-1", "s2^-1 s1^2 s2", "s1^2 s2^-3 s1^-2", ""])
+def test_power_equals_repeated_product(text):
+    w = parse_word(text, 5)
+    for e in range(-6, 7):
+        base = w if e >= 0 else w.inverse()
+        want = BraidWord.identity(5)
+        for _ in range(abs(e)):
+            want = want * base
+        assert (w ** e).letters == want.letters, e
+
+
 # --- Burau -------------------------------------------------------------------
 
 

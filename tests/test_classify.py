@@ -272,6 +272,43 @@ def test_loop_terminates_within_bound():
             assert res.rounds <= to_normal_form(w).length() + 1
 
 
+def _reduced_word(rng, n, length):
+    letters = []
+    while len(letters) < length:
+        letter = (rng.choice((1, 2)), rng.choice((1, -1)))
+        if not letters or letters[-1] != (letter[0], -letter[1]):
+            letters.append(letter)
+    return BraidWord(n, tuple(letters))
+
+
+@pytest.mark.parametrize("n, beta", [(5, "s1^2"), (5, "s1 s2"), (4, "s1^2 s2^-2"), (4, "s2^3")])
+def test_long_conjugate_simulates_at_most_once(monkeypatch, n, beta):
+    # the round test is O(1) (automaton.joins); only the final witness is
+    # followed through the automaton, once
+    calls = []
+    real = am.simulate
+
+    def counting(auto, letters, start):
+        calls.append(start)
+        return real(auto, letters, start)
+
+    c = _reduced_word(random.Random(400 + n), n, 400)
+    w = parse_word(beta, n)
+    want = classify(n, w)
+    monkeypatch.setattr(am, "simulate", counting)
+    res = classify(n, c * w * c.inverse())
+    assert len(calls) <= 1
+    assert res.rounds > 100
+    assert res.braid_type == want.braid_type and res.params == want.params
+    assert res.h0() == pytest.approx(want.h0(), abs=1e-9)
+
+
+def test_large_exponent_reducible():
+    res = classify(5, parse_word("s1^20000", 5))
+    assert res.braid_type == "reducible" and res.params == (1, 20000, 0)
+    assert res.out_beta.text() == "s1^20000"
+
+
 # --- independent entropy oracle ------------------------------------------------
 
 

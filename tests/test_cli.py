@@ -188,3 +188,16 @@ def test_estimate_classifies_each_word_once(capsys, monkeypatch):
     )
     assert code == 0 and len(out.splitlines()) == 2
     assert len(calls) == 2
+
+
+def test_loop_guard_exit_code(capsys, monkeypatch):
+    import sys
+
+    def tripped(n, w):
+        raise RuntimeError("conjugation loop exceeded its termination bound")
+
+    monkeypatch.setattr(sys.modules["braiddyn.cli"], "classify", tripped)
+    code, out, err = run(capsys, ["classify", "--n", "5", "--word", "s1 s2"])
+    assert code == 4
+    assert out == ""
+    assert err == "error: conjugation loop exceeded its termination bound\n"

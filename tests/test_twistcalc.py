@@ -1,12 +1,13 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from braiddyn.braidword import BraidWord, TwistLetter, coxeter_matrix, twist_modulus
-from braiddyn.fusion import fuse
+from braiddyn.fusion import delta_value, fuse
 from braiddyn.twistcalc import (
     U,
     V1,
@@ -16,6 +17,7 @@ from braiddyn.twistcalc import (
     SemistableUnit,
     gamma_on_unit,
     letter_support,
+    log_support_mass,
     support_charge,
     support_mass,
     twist_segment,
@@ -335,3 +337,26 @@ def test_forbidden_pair_raises_on_every_call():
             letter_support(5, TwistLetter(1, 0), SemistableUnit(V1, 2, 1, 4))
         with pytest.raises(LookupError):
             letter_support(4, TwistLetter(2, 0), SemistableUnit(V1, 0, 0, -2))
+
+
+def test_log_support_mass_equals_the_unit_phase_formula():
+    # the cached phase numerators must give exactly the floats of the
+    # Fraction phases, so estimates stay bit-for-bit the same
+    rng = random.Random(5)
+    for n in range(3, 17):
+        units = all_units(n)
+        for t in (-1000.0, -0.7, 0.0, 0.3, 1.9, 1000.0):
+            support = {
+                SemistableUnit(u.family, u.index, rng.randrange(n - 1), rng.randint(-40, 40)):
+                    rng.randint(1, 9)
+                for u in rng.sample(units, min(len(units), 6))
+            }
+            logs = [
+                float(unit_phase(n, u)) * t + math.log(w) + math.log(delta_value(n, u.label))
+                for u, w in support.items()
+            ]
+            top = max(logs)
+            want = top + math.log(sum(math.exp(x - top) for x in logs))
+            assert log_support_mass(n, support, t) == want, (n, t)
+    with pytest.raises(ValueError):
+        log_support_mass(5, {SemistableUnit(U, 0): 1}, 0.0)
