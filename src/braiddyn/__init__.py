@@ -30,7 +30,7 @@ from .classify import (
     growth_reducible,
 )
 from .fusion import FusionVec, MassPoly, chebyshev, eval_mass, fuse, mass_mul, pf_dim, ring_mul
-from .twistcalc import SemistableUnit, gamma_on_unit, letter_support, twist_segment
+from .twistcalc import SemistableUnit, gamma_on_unit, letter_support
 
 __all__ = [
     "BraidWord",
@@ -67,7 +67,6 @@ __all__ = [
     "recognize",
     "ring_mul",
     "to_normal_form",
-    "twist_segment",
     "zero_pattern",
 ]
 

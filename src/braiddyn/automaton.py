@@ -22,10 +22,10 @@ Recognition is one deterministic pass.  Gamma arrows leave every vertex,
 and a twist letter y leaves every vertex except forbidden_source(y), so a
 letter sequence is recognised exactly when every pair of consecutive
 twist letters x ... y with g net gammas between them has
-forbidden_source(y) != gamma^g(target_vertex(x)) (``joins``).  The start
-vertex matters only for the gammas before the first twist letter, and
-the end vertex does not depend on it at all, so the witness is fixed
-without trying start vertices.
+forbidden_source(y) != gamma^g(target_vertex(x)) (``braidword.joins``).
+The start vertex matters only for the gammas before the first twist
+letter, and the end vertex does not depend on it at all, so the witness
+is fixed without trying start vertices.
 
 Classification never forms the exact product of a path.  Its zero
 pattern is the product of the arrows' 2x2 Boolean supports: the supports
@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .braidword import NormalForm, TwistLetter, forbidden_source, target_vertex, twist_modulus
+from .braidword import NormalForm, TwistLetter, forbidden_source, joins, target_vertex, twist_modulus
 from .fusion import FusionVec, MassPoly, eval_mass, mass_dot, mass_mul, pf_dim
 from .twistcalc import U, V1, V2, SemistableUnit, support_column
 
@@ -275,17 +275,6 @@ def simulate(
         out.append(arrow)
         cur = arrow.target
     return tuple(out)
-
-
-def joins(n: int, first: TwistLetter, gammas: int, second: TwistLetter) -> bool:
-    """Can ``second`` be read after ``first`` followed by ``gammas`` net gamma steps?
-
-    ``first`` ends at its target vertex, gamma^g moves the index of that
-    vertex by g, and ``second`` leaves every vertex but its forbidden
-    source.  ``joins(n, x, 0, x)`` always holds.
-    """
-    kind, j = target_vertex(n, first)
-    return forbidden_source(n, second) != (kind, (j + gammas) % twist_modulus(n))
 
 
 def _witness_start(

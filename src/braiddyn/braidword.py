@@ -34,6 +34,7 @@ import numpy as np
 from .fusion import _laurent_dot, delta_value
 
 __all__ = [
+    "MAX_WORD_LETTERS",
     "BraidWord",
     "BurauMatrix",
     "NormalForm",
@@ -44,8 +45,8 @@ __all__ = [
     "burau_equal",
     "coxeter_matrix",
     "forbidden_source",
+    "joins",
     "make_twist",
-    "pair_viable",
     "parse_word",
     "positive_roots",
     "target_vertex",
@@ -145,11 +146,15 @@ def _free_reduce(letters: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int],
     return tuple(out)
 
 
+MAX_WORD_LETTERS = 1_000_000  # cap on a parsed word's length, before free reduction
+
+
 def parse_word(text: str, n: int) -> BraidWord:
     """Parse the word grammar: whitespace-separated s1/s2 tokens, optional ^k.
 
     Raises :class:`WordSyntaxError` with the byte offset of the offending
-    token, and ValueError for n < 3.
+    token, also of the token that takes the word past ``MAX_WORD_LETTERS``
+    letters, and ValueError for n < 3.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
@@ -179,6 +184,8 @@ def parse_word(text: str, n: int) -> BraidWord:
                 raise WordSyntaxError(f"zero exponent in {token!r}", pos)
         else:
             raise WordSyntaxError(f"unknown token {token!r}", pos)
+        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+            raise WordSyntaxError(f"{token!r} takes the word past {MAX_WORD_LETTERS} letters", pos)
         sign = 1 if exp > 0 else -1
         letters.extend([(gen, sign)] * abs(exp))
         pos = end
@@ -352,9 +359,15 @@ def forbidden_source(n: int, letter: TwistLetter) -> tuple[str, int]:
     return ("v", letter.index)
 
 
-def pair_viable(n: int, second: TwistLetter, first: TwistLetter) -> bool:
-    """Can an arrow labelled ``second`` follow one labelled ``first``?"""
-    return forbidden_source(n, second) != target_vertex(n, first)
+def joins(n: int, first: TwistLetter, gammas: int, second: TwistLetter) -> bool:
+    """Can ``second`` be read after ``first`` followed by ``gammas`` net gamma steps?
+
+    ``first`` ends at its target vertex, gamma^g moves the index of that
+    vertex by g, and ``second`` leaves every vertex but its forbidden
+    source.  ``joins(n, x, 0, x)`` always holds.
+    """
+    kind, j = target_vertex(n, first)
+    return forbidden_source(n, second) != (kind, (j + gammas) % twist_modulus(n))
 
 
 @dataclass(frozen=True)
@@ -383,7 +396,7 @@ class NormalForm:
             if prev is not None:
                 if prev == letter:
                     raise ValueError("adjacent blocks must carry distinct letters")
-                if not pair_viable(self.n, letter, prev):
+                if not joins(self.n, prev, 0, letter):
                     raise ValueError(
                         f"{letter.label()} cannot follow {prev.label()}"
                     )
@@ -458,7 +471,7 @@ def to_normal_form(w: BraidWord) -> NormalForm:
         if seq:
             last = seq[-1]
             last_true = make_twist(n, last.family, last.index + offset)
-            if not pair_viable(n, letter, last_true):
+            if not joins(n, last_true, 0, letter):
                 # letter * last_true = gamma; push it to the right
                 seq.pop()
                 prepend_gamma(1)

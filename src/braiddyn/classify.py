@@ -5,23 +5,25 @@ b_k^{m_k} ... b_1^{m_1} gamma^s and run:
 
 1. no twist letters: the braid is gamma^s, periodic;
 2. one twist letter b: if b cannot follow itself across gamma^s
-   (``automaton.joins(n, b, s, b)`` fails) the squared word is not
+   (``braidword.joins(n, b, s, b)`` fails) the squared word is not
    recognised, the braid squares to gamma^(2s+1) and is periodic;
    otherwise the word itself is recognised by a closed path;
 3. two or more: the conjugated word b_k^{m_k-1} ... b_1^{m_1} gamma^s b_k
    is recognised exactly when b_1 can follow b_k across gamma^s,
    ``joins(n, b_k, s, b_1)``, since the normal form already makes every
    other adjacent pair viable and a letter can always follow itself.
-   That is an O(1) test per round.  If it fails, conjugation shortens
-   the normal form strictly (b_1 gamma^s b_k collapses into gamma^(s+1))
-   and we loop;
+   That is an O(1) test per round.  If it fails, conjugating by b_k
+   collapses b_1 gamma^s b_k into gamma^(s+1): one letter comes off each
+   end of the block list and we loop;
 4. with a closed path in hand, the zero pattern of its mass matrix
    decides everything: diagonal = periodic, triangular = reducible with
    an explicit conjugate sigma_i^k chi^l, full = pseudo-Anosov with mass
    growth log PF of the matrix.
 
-The loop only records the peeled twist letters; the conjugate and the
-conjugator are spelled out as words once, when the verdict is returned.
+The loop peels the two ends of one block list held between two indices
+and records the peeled twist letters.  The final ``NormalForm`` is built
+once, through the checking constructor; the conjugate and the conjugator
+are spelled out as words once, when the verdict is returned.
 The zero pattern comes from the Boolean product of the arrow supports
 (``automaton.path_zero_pattern``) and the pseudo-Anosov growth from a
 rescaled float product (``automaton.log_pf``), so classification forms
@@ -52,6 +54,7 @@ from .braidword import (
     BraidWord,
     NormalForm,
     TwistLetter,
+    joins,
     to_normal_form,
     twist_modulus,
 )
@@ -267,55 +270,46 @@ def classify(n: int, w: BraidWord) -> ClassificationResult:
     if w.n != n:
         raise ValueError("word does not belong to the requested group")
     auto = _automaton(n)
-    nf = to_normal_form(w)
+    first = to_normal_form(w)
+    blocks = [[letter, mult] for letter, mult in first.blocks]
+    lo, hi = 0, len(blocks) - 1  # the live blocks are blocks[lo : hi + 1]
+    total, s = first.twist_count(), first.gamma_exp
     peeled: list[TwistLetter] = []  # conjugating twist letters, in order
-    guard = nf.length() + 1
-    rounds = 0
-
-    while True:
-        total = nf.twist_count()
-        s = nf.gamma_exp
-
-        if total == 0:
-            # beta = gamma^s, so beta^n = gamma^(s n)
-            growth = growth_periodic(n, n, s)
-            return ClassificationResult(
-                n, PERIODIC, nf.to_word(), _conjugator(n, peeled), nf, None,
-                growth, (n, s), rounds,
-            )
-
-        b_1, b_k = nf.blocks[0][0], nf.blocks[-1][0]
-        if total == 1:
-            if not am.joins(n, b_1, s, b_1):
-                if n % 2 == 0:
-                    logger.warning("even-n squared word unrecognised; unexpected")
-                # beta^2 = gamma^(2s+1), so beta^(2n) = gamma^((2s+1) n)
-                growth = growth_periodic(n, 2 * n, 2 * s + 1)
-                return ClassificationResult(
-                    n, PERIODIC, nf.to_word(), _conjugator(n, peeled), nf, None,
-                    growth, (2 * n, 2 * s + 1), rounds,
-                )
-            break
-
-        if am.joins(n, b_k, s, b_1):
-            break
-
+    while total >= 2 and not joins(n, blocks[hi][0], s, blocks[lo][0]):
         # shorten: b_1 gamma^s b_k = gamma^(s+1) after pushing gammas right
-        blocks = [list(b) for b in nf.blocks]
-        blocks[0][1] -= 1
-        blocks[-1][1] -= 1
-        new_blocks = tuple((l, c) for l, c in blocks if c > 0)
-        peeled.append(b_k)
-        nf = NormalForm(n, new_blocks, s + 1)
-        rounds += 1
-        if rounds > guard:
-            raise RuntimeError("conjugation loop exceeded its termination bound")
+        peeled.append(blocks[hi][0])
+        blocks[lo][1] -= 1
+        blocks[hi][1] -= 1
+        if blocks[lo][1] == 0:
+            lo += 1
+        if blocks[hi][1] == 0:
+            hi -= 1
+        total -= 2
+        s += 1
+    nf = NormalForm(n, tuple((letter, mult) for letter, mult in blocks[lo : hi + 1]), s)
+    conj = _conjugator(n, peeled)
+    rounds = len(peeled)
+
+    if total == 0:
+        # beta = gamma^s, so beta^n = gamma^(s n)
+        growth = growth_periodic(n, n, s)
+        return ClassificationResult(
+            n, PERIODIC, nf.to_word(), conj, nf, None, growth, (n, s), rounds
+        )
+    if total == 1 and not joins(n, nf.blocks[0][0], s, nf.blocks[0][0]):
+        if n % 2 == 0:
+            logger.warning("even-n squared word unrecognised; unexpected")
+        # beta^2 = gamma^(2s+1), so beta^(2n) = gamma^((2s+1) n)
+        growth = growth_periodic(n, 2 * n, 2 * s + 1)
+        return ClassificationResult(
+            n, PERIODIC, nf.to_word(), conj, nf, None, growth,
+            (2 * n, 2 * s + 1), rounds,
+        )
 
     path = am.recognize(auto, nf, require_closed=True)
     if path is None or not path.closed:
         raise RuntimeError("recognised word lost its closed path")
     pattern = am.path_zero_pattern(path)
-    conj = _conjugator(n, peeled)
 
     if pattern == "full":
         growth = LogPFGrowth(auto, path)
@@ -325,10 +319,9 @@ def classify(n: int, w: BraidWord) -> ClassificationResult:
     if pattern == "diagonal":
         # unreachable per the structure theory once twist letters remain
         logger.warning("diagonal pattern with twist letters present; anomaly")
-        growth = growth_periodic(n, n, nf.gamma_exp)
+        growth = growth_periodic(n, n, s)
         return ClassificationResult(
-            n, PERIODIC, nf.to_word(), conj, nf, path, growth,
-            (n, nf.gamma_exp), rounds,
+            n, PERIODIC, nf.to_word(), conj, nf, path, growth, (n, s), rounds
         )
     i, k, l, extra = reducible_witness(n, nf, pattern)
     growth = growth_reducible(n, i, k, l)

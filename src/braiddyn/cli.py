@@ -7,9 +7,12 @@ Four subcommands: ``classify`` (type + mass growth of a word), ``burau``
 stdin line and reports in input order.
 
 Exit codes: 0 success, 2 word syntax error (message carries the byte
-offset), 3 invalid n, 4 a computation error such as ``estimate --steps 1``,
-a word the estimator cannot iterate, or a ``RuntimeError`` from the
-guards of the classification loop (one ``error: ...`` line on stderr).
+offset), including a word longer than ``MAX_WORD_LETTERS`` (10^6)
+letters before free reduction, 3 invalid n, 4 a computation error such
+as ``estimate --steps 1``, a word the estimator cannot iterate, a
+``RuntimeError`` from the guards of the classification loop, or a word
+that needs more conjugation rounds than ``classify --max-iter`` allows
+(one ``error: ...`` line on stderr).
 Reals are printed with 9 decimal places by default; the environment
 variable BRAIDDYN_PRECISION overrides this.
 """
@@ -109,11 +112,9 @@ def _run_classify(args) -> int:
     for text in words:
         res = classify(args.n, parse_word(text, args.n))
         if args.max_iter and res.rounds > args.max_iter:
-            print(
-                f"conjugation used {res.rounds} rounds, above --max-iter",
-                file=sys.stderr,
+            raise RuntimeError(
+                f"conjugation used {res.rounds} rounds, above --max-iter {args.max_iter}"
             )
-            return 1
         if args.json:
             report = _classification_report(res)
             if args.t:

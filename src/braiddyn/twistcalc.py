@@ -13,21 +13,19 @@ level c (cohomological shift minus internal shift); its mass as a
 function of t is Delta_a(2cos(pi/n)) * e^((phase+c) t) and its central
 charge is Delta_a * e^(i pi (phase+c)).
 
-``twist_segment`` implements the one-step rule for a twist acting on a
-two-term segment or a single module summand; chaining it reproduces the
-support tables for odd n.  ``letter_support`` is the workhorse: it maps
-(twist letter, unit) to the list of decorated units in the
-Harder-Narasimhan support of the image, by reducing the letter to the
-base generator with gamma conjugation and reading a fixed per-parity
-table at the base.  The even-n sigma_2 table cannot be reached by
-chaining ``twist_segment`` (the segments point the wrong way); its rows
+``letter_support`` is the workhorse: it maps (twist letter, unit) to the
+list of decorated units in the Harder-Narasimhan support of the image,
+by reducing the letter to the base generator with gamma conjugation and
+reading a fixed per-parity table at the base.  The odd-n tables are what
+chaining the one-step twist rule on two-term segments gives (the tests
+keep that rule as an oracle).  The even-n sigma_2 table cannot be
+reached by such chaining (the segments point the wrong way); its rows
 are fixed by the n=4 matrices together with central-charge additivity
 Z(sigma_i X) = s_i Z(X), which pins every s-exponent.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,16 +35,11 @@ from .braidword import TwistLetter, twist_modulus
 from .fusion import FusionVec, MassPoly, _fusion_table, delta_value
 
 __all__ = [
-    "RawObject",
-    "Segment",
     "SemistableUnit",
     "gamma_on_unit",
     "letter_support",
     "log_support_mass",
-    "support_charge",
     "support_mass",
-    "twist_segment",
-    "unit_charge",
     "unit_mass",
     "unit_phase",
 ]
@@ -97,11 +90,6 @@ def unit_mass(n: int, u: SemistableUnit, t: float) -> float:
     return delta_value(n, u.label) * math.exp(float(unit_phase(n, u)) * t)
 
 
-def unit_charge(n: int, u: SemistableUnit) -> complex:
-    """Central charge Delta_label * exp(i pi phase)."""
-    return delta_value(n, u.label) * cmath.exp(1j * math.pi * float(unit_phase(n, u)))
-
-
 def gamma_on_unit(n: int, u: SemistableUnit, direction: int) -> SemistableUnit:
     """Apply gamma (direction +1) or gamma^-1 (-1); phase moves by -+2/n exactly.
 
@@ -120,68 +108,6 @@ def gamma_on_unit(n: int, u: SemistableUnit, direction: int) -> SemistableUnit:
     if n % 2:
         return SemistableUnit(u.family, j, u.label, u.level - 2 * direction)
     return SemistableUnit(u.family, j, n - 2 - u.label, u.level - direction)
-
-
-# ---------------------------------------------------------------------------
-# raw two-term calculus (lemma-level engine)
-
-
-@dataclass(frozen=True)
-class RawObject:
-    """A single summand P_vertex (x) Pi_label <k>[l]."""
-
-    vertex: int  # 1 or 2
-    label: int
-    k: int
-    l: int
-
-    def shifted(self, dk: int, dl: int) -> RawObject:
-        return RawObject(self.vertex, self.label, self.k + dk, self.l + dl)
-
-    def level(self) -> int:
-        return self.l - self.k
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Two-term complex P_{i+-1} (x) Pi_a <k>[l] -> P_i (x) Pi_{a-1} <k-1>[l-1]."""
-
-    head: RawObject
-    tail: RawObject
-
-    def __post_init__(self):
-        ok = (
-            self.head.vertex != self.tail.vertex
-            and self.head.label == self.tail.label + 1
-            and self.head.k == self.tail.k + 1
-            and self.head.l == self.tail.l + 1
-        )
-        if not ok:
-            raise ValueError("not a braid-relation segment")
-
-
-def twist_segment(n: int, i: int, obj: Segment | RawObject) -> Segment | RawObject:
-    """One twist sigma_{P_i} applied via the closed-form cone rules.
-
-    Segment with tail vertex i and head label a: becomes the shifted
-    segment (a != n-2) or collapses to its head (a = n-2).  A single
-    summand at vertex i just picks up <2>[1]; at the other vertex it
-    becomes the cone segment with a Pi_1 head.
-    """
-    if i not in (1, 2):
-        raise ValueError("twist generator must be 1 or 2")
-    if isinstance(obj, Segment):
-        if obj.tail.vertex != i:
-            raise ValueError("segment tail does not match the twist generator")
-        a, k, l = obj.head.label, obj.head.k, obj.head.l
-        if a == n - 2:
-            return obj.head
-        return Segment(RawObject(i, a + 1, k + 1, l + 1), obj.head)
-    if obj.vertex == i:
-        return obj.shifted(2, 1)
-    if obj.label != 0:
-        raise ValueError("cone rule needs an undecorated summand")
-    return Segment(RawObject(i, 1, obj.k + 1, obj.l + 1), obj)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +268,6 @@ def _unit_log_terms(n: int, family: str, index: int, label: int) -> tuple[int, f
     # at most 3n^2 entries per n: families x indices x labels
     _check_unit(n, SemistableUnit(family, index, label))
     return _phase_numerator(n, family, index), math.log(delta_value(n, label))
-
-
-def support_charge(n: int, support: dict[SemistableUnit, int]) -> complex:
-    return sum(w * unit_charge(n, u) for u, w in support.items())
 
 
 def support_column(

@@ -25,7 +25,8 @@ from braiddyn.braidword import (
     BraidWord,
     NormalForm,
     TwistLetter,
-    pair_viable,
+    forbidden_source,
+    target_vertex,
     to_normal_form,
     twist_modulus,
 )
@@ -221,7 +222,7 @@ def normal_forms(draw):
     blocks, prev = [], None
     for _ in range(draw(st.integers(0, 6))):
         allowed = [
-            x for x in twist_letters(n) if prev is None or (x != prev and pair_viable(n, x, prev))
+            x for x in twist_letters(n) if prev is None or (x != prev and joins(n, prev, 0, x))
         ]
         prev = draw(st.sampled_from(allowed))
         blocks.append((prev, draw(st.integers(1, 3))))
@@ -273,7 +274,7 @@ def test_joins_is_the_pair_rule():
         for x in twist_letters(n):
             assert joins(n, x, 0, x)
             for y in twist_letters(n):
-                assert joins(n, x, 0, y) == pair_viable(n, y, x)
+                assert joins(n, x, 0, y) == (forbidden_source(n, y) != target_vertex(n, x))
                 for g in range(-m - 1, m + 2):
                     gammas = [1 if g > 0 else -1] * abs(g)
                     assert joins(n, x, g, y) == scan_recognizes_word(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braiddyn.braidword import (
+    MAX_WORD_LETTERS,
     BraidWord,
     QLaurent,
     TwistLetter,
@@ -15,7 +16,6 @@ from braiddyn.braidword import (
     coxeter_matrix,
     forbidden_source,
     make_twist,
-    pair_viable,
     parse_word,
     positive_roots,
     target_vertex,
@@ -53,6 +53,56 @@ def test_word_text_round_trip():
     assert w.text() == "s2^-2 s1 s2^3"
     assert parse_word("s1^4", 5).text() == "s1^4"
     assert parse_word("s1^-3", 5).text() == "s1^-3"
+
+
+letter_lists = st.lists(st.tuples(st.sampled_from((1, 2)), st.sampled_from((1, -1))), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 16), letter_lists)
+def test_parse_inverts_text(n, letters):
+    w = BraidWord(n, tuple(letters))
+    assert parse_word(w.text(), n) == w
+
+
+BAD_TOKENS = [
+    "s3",
+    "s1^0",
+    "s2^x",
+    "\u00e9",
+    "s1^\u00e9",
+    f"s2^{MAX_WORD_LETTERS + 1}",
+    f"s1^-{MAX_WORD_LETTERS + 1}",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 16),
+    # int() reads any Unicode decimal digit, so "s1^\u0663" (Arabic-Indic 3)
+    # is the way a valid prefix carries a multi-byte character
+    st.sampled_from(["", "s1^\u0663 "]),
+    letter_lists,
+    st.sampled_from([" ", "  ", "\t", "\n"]),
+    st.sampled_from(BAD_TOKENS),
+    st.sampled_from(["", " s1", " s2^-2"]),
+)
+def test_parse_error_offset_counts_prefix_bytes(n, lead, letters, sep, bad, tail):
+    prefix = lead + BraidWord(n, tuple(letters)).text() + sep
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(prefix + bad + tail, n)
+    assert err.value.offset == len(prefix.encode())
+
+
+def test_word_length_cap():
+    assert len(parse_word("s1^200000", 5)) == 200000
+    assert len(parse_word(f"s1^{MAX_WORD_LETTERS - 1} s2", 3)) == MAX_WORD_LETTERS
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word("s1^99999999999999999999999", 5)
+    assert err.value.offset == 0
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word("s1^600000 s2^600000", 5)
+    assert err.value.offset == 10
 
 
 def test_free_reduction_and_inverse():
@@ -221,7 +271,7 @@ def test_normal_form_blocks_are_pair_viable():
             nf = to_normal_form(BraidWord(n, letters))
             seq = [l for l, m in nf.blocks for _ in range(m)]
             for first, second in zip(seq, seq[1:]):
-                assert pair_viable(n, second, first), (n, nf.text())
+                assert forbidden_source(n, second) != target_vertex(n, first), (n, nf.text())
 
 
 def test_twist_index_mod_identities():

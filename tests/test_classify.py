@@ -3,13 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import braiddyn.automaton as am
 from braiddyn.braidword import (
     BraidWord,
+    NormalForm,
     TwistLetter,
     burau,
     burau_equal,
+    joins,
     parse_word,
     to_normal_form,
 )
@@ -281,9 +284,12 @@ def _reduced_word(rng, n, length):
     return BraidWord(n, tuple(letters))
 
 
-@pytest.mark.parametrize("n, beta", [(5, "s1^2"), (5, "s1 s2"), (4, "s1^2 s2^-2"), (4, "s2^3")])
+LONG_CONJUGATES = [(5, "s1^2"), (5, "s1 s2"), (4, "s1^2 s2^-2"), (4, "s2^3")]
+
+
+@pytest.mark.parametrize("n, beta", LONG_CONJUGATES)
 def test_long_conjugate_simulates_at_most_once(monkeypatch, n, beta):
-    # the round test is O(1) (automaton.joins); only the final witness is
+    # the round test is O(1) (braidword.joins); only the final witness is
     # followed through the automaton, once
     calls = []
     real = am.simulate
@@ -301,6 +307,93 @@ def test_long_conjugate_simulates_at_most_once(monkeypatch, n, beta):
     assert res.rounds > 100
     assert res.braid_type == want.braid_type and res.params == want.params
     assert res.h0() == pytest.approx(want.h0(), abs=1e-9)
+
+
+@pytest.mark.parametrize("n, beta", LONG_CONJUGATES)
+def test_long_conjugate_builds_two_normal_forms(monkeypatch, n, beta):
+    # one from to_normal_form and the final one; the rounds build none
+    builds = []
+    real = NormalForm.__post_init__
+
+    def counting(self):
+        builds.append(len(self.blocks))
+        real(self)
+
+    c = _reduced_word(random.Random(400 + n), n, 400)
+    w = c * parse_word(beta, n) * c.inverse()
+    monkeypatch.setattr(NormalForm, "__post_init__", counting)
+    res = classify(n, w)
+    assert res.rounds > 100
+    assert len(builds) <= 2
+
+
+def _round_loop(n, w):
+    """The conjugation loop with one checked NormalForm per round: (final form, peeled)."""
+    nf = to_normal_form(w)
+    peeled = []
+    while nf.twist_count() >= 2:
+        b_1, b_k = nf.blocks[0][0], nf.blocks[-1][0]
+        if joins(n, b_k, nf.gamma_exp, b_1):
+            break
+        blocks = [list(b) for b in nf.blocks]
+        blocks[0][1] -= 1
+        blocks[-1][1] -= 1
+        peeled.append(b_k)
+        nf = NormalForm(n, tuple((l, c) for l, c in blocks if c > 0), nf.gamma_exp + 1)
+    return nf, peeled
+
+
+def _check_against_round_loop(n, w):
+    nf, peeled = _round_loop(n, w)
+    res = classify(n, w)
+    assert res.normal_form == nf
+    assert res.rounds == len(peeled)
+    # each round conjugates by the peeled letter gamma^j s_i gamma^-j
+    conj = BraidWord.identity(n)
+    for letter in peeled:
+        g = BraidWord.gamma_power(n, letter.index)
+        conj = g * BraidWord.generator(n, letter.family, -1) * g.inverse() * conj
+    if res.braid_type == "reducible":
+        conj = reducible_witness(n, nf, am.path_zero_pattern(res.path))[3] * conj
+    assert res.conjugator == conj
+    return nf
+
+
+@st.composite
+def conjugates(draw):
+    n = draw(st.integers(3, 16))
+    letters = st.tuples(st.sampled_from((1, 2)), st.sampled_from((1, -1)))
+    c = BraidWord(n, tuple(draw(st.lists(letters, max_size=60))))
+    kind = draw(st.sampled_from(["word", "block", "gamma", "letter"]))
+    if kind == "word":
+        beta = BraidWord(n, tuple(draw(st.lists(letters, max_size=12))))
+    elif kind == "block":  # peels down to a single block, or lo == hi
+        k = draw(st.integers(1, 6)) * draw(st.sampled_from((1, -1)))
+        beta = BraidWord.generator(n, draw(st.sampled_from((1, 2)))) ** k
+    elif kind == "gamma":  # peels down to gamma^s
+        beta = BraidWord.gamma_power(n, draw(st.integers(-2 * n, 2 * n)))
+    else:  # peels down to a single letter
+        beta = BraidWord.generator(n, draw(st.sampled_from((1, 2))), draw(st.sampled_from((1, -1))))
+    return n, c * beta * c.inverse()
+
+
+@settings(max_examples=300, deadline=None)
+@given(conjugates())
+def test_peel_matches_round_loop(case):
+    _check_against_round_loop(*case)
+
+
+@pytest.mark.parametrize(
+    "n, text, final",
+    [
+        # twist1[0]^3 gamma^2: b cannot follow itself across gamma^2, so the
+        # first round peels both ends of one block (lo == hi)
+        (5, "s1^3 s2 s1 s2 s1", "twist1[0] gamma^3"),
+        (5, "s1^2 s2 s1 s2 s1", "gamma^3"),
+    ],
+)
+def test_peel_matches_round_loop_examples(n, text, final):
+    assert _check_against_round_loop(n, parse_word(text, n)).text() == final
 
 
 def test_large_exponent_reducible():

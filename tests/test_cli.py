@@ -201,3 +201,24 @@ def test_loop_guard_exit_code(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "error: conjugation loop exceeded its termination bound\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "burau"])
+@pytest.mark.parametrize(
+    "word, offset", [("s1^99999999999999999999999", 0), ("s1^600000 s2^600000", 10)]
+)
+def test_word_over_length_cap_exit_code(capsys, command, word, offset):
+    code, out, err = run(capsys, [command, "--n", "5", "--word", word])
+    assert code == 2
+    assert out == ""
+    assert f"byte {offset}" in err and len(err.strip().splitlines()) == 1
+
+
+def test_max_iter_exit_code(capsys):
+    word = "s1^2 s2^-1 s1 s2^3 s1^-2 s2 s1^-1 s2^-3 s1 s2 s1^-2"  # 3 rounds
+    code, out, err = run(capsys, ["classify", "--n", "4", "--word", word, "--max-iter", "1"])
+    assert code == 4
+    assert out == ""
+    assert err == "error: conjugation used 3 rounds, above --max-iter 1\n"
+    code, out, _ = run(capsys, ["classify", "--n", "4", "--word", word, "--max-iter", "3"])
+    assert code == 0 and out.startswith("pseudo_anosov")

@@ -12,19 +12,15 @@ from braiddyn.twistcalc import (
     U,
     V1,
     V2,
-    RawObject,
-    Segment,
     SemistableUnit,
     gamma_on_unit,
     letter_support,
     log_support_mass,
-    support_charge,
     support_mass,
-    twist_segment,
-    unit_charge,
     unit_mass,
     unit_phase,
 )
+from twist_oracle import RawObject, Segment, support_charge, twist_segment, unit_charge
 
 
 def all_units(n):
