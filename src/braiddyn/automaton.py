@@ -34,7 +34,7 @@ nonnegative coefficients is never zero, so the Boolean product is exact.
 The growth log PF(M(p))(t) comes from a float product of the arrow
 matrices at t, rescaled at every step.  ``path_matrix``, ``zero_pattern``
 and ``pf_eigenvalue`` are the exact route, used when the matrix itself is
-wanted.
+wanted; ``path_matrix`` multiplies the arrows in a balanced product tree.
 """
 
 from __future__ import annotations
@@ -44,7 +44,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .braidword import NormalForm, TwistLetter, forbidden_source, joins, target_vertex, twist_modulus
-from .fusion import FusionVec, MassPoly, eval_mass, mass_dot, mass_mul, pf_dim
+from .fusion import (
+    FusionVec,
+    MassPoly,
+    eval_mass,
+    mass_dot,
+    mass_mul,
+    pf_dim,
+    product_tree,
+    sparse_entry,
+)
 from .twistcalc import U, V1, V2, SemistableUnit, support_column
 
 __all__ = [
@@ -89,6 +98,15 @@ class Arrow:
     @cached_property
     def support(self) -> Support:
         return _support(self.matrix)
+
+    @cached_property
+    def sparse(self) -> tuple:
+        """Entries a, b, c, d as the sparse terms of ``fusion.product_tree``."""
+        return tuple(
+            sparse_entry((e, vec.coeffs) for e, vec in entry.terms)
+            for row in self.matrix
+            for entry in row
+        )
 
     @cached_property
     def weighted_terms(self) -> tuple[tuple[tuple[int, float], ...], ...]:
@@ -347,11 +365,19 @@ def recognizes_word(auto: MassAutomaton, letters: list[TwistLetter | int]) -> bo
 
 
 def path_matrix(auto: MassAutomaton, path: PathWitness) -> MassMatrix:
-    """Ordered product M(e_k) ... M(e_1); the empty path gives the identity."""
-    out = _identity_matrix(auto.n)
-    for arrow in path.arrows:
-        out = mat_mul(arrow.matrix, out)
-    return out
+    """Ordered product M(e_k) ... M(e_1); the empty path gives the identity.
+
+    The arrows' sparse matrices are multiplied in a balanced product tree
+    (``fusion.product_tree``), and each of the four entries is built once,
+    through the checking ``MassPoly`` constructor.  ``mat_mul`` is the
+    left-to-right product the result must equal.
+    """
+    n = auto.n
+    a, b, c, d = (
+        MassPoly.from_rows(n, rows)
+        for rows in product_tree(n, [arrow.sparse for arrow in reversed(path.arrows)])
+    )
+    return ((a, b), (c, d))
 
 
 def _support(matrix: MassMatrix) -> Support:

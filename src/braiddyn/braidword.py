@@ -27,11 +27,13 @@ which changes the twist functor.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .fusion import _laurent_dot, delta_value
+from .fusion import _laurent_dot, delta_value, product_tree, sparse_entry
 
 __all__ = [
     "MAX_WORD_LETTERS",
@@ -45,6 +47,7 @@ __all__ = [
     "burau_equal",
     "coxeter_matrix",
     "forbidden_source",
+    "gamma_letters",
     "joins",
     "make_twist",
     "parse_word",
@@ -92,9 +95,7 @@ class BraidWord:
     @classmethod
     def gamma_power(cls, n: int, e: int) -> BraidWord:
         """(s2 s1)^e, freely reduced."""
-        if e >= 0:
-            return cls(n, ((2, 1), (1, 1)) * e)
-        return cls(n, ((1, -1), (2, -1)) * (-e))
+        return cls(n, gamma_letters(e))
 
     def __mul__(self, other: BraidWord) -> BraidWord:
         if self.n != other.n:
@@ -134,6 +135,13 @@ class BraidWord:
         )
 
 
+def gamma_letters(e: int) -> tuple[tuple[int, int], ...]:
+    """The letters of (s2 s1)^e, already freely reduced; no word is built."""
+    if e >= 0:
+        return ((2, 1), (1, 1)) * e
+    return ((1, -1), (2, -1)) * (-e)
+
+
 def _free_reduce(letters: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     out: list[tuple[int, int]] = []
     for g, s in letters:
@@ -149,12 +157,16 @@ def _free_reduce(letters: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int],
 MAX_WORD_LETTERS = 1_000_000  # cap on a parsed word's length, before free reduction
 
 
+_EXPONENT = re.compile(r"-?[0-9]+")  # ASCII digits only: no "+", "_" or other scripts
+
+
 def parse_word(text: str, n: int) -> BraidWord:
     """Parse the word grammar: whitespace-separated s1/s2 tokens, optional ^k.
 
-    Raises :class:`WordSyntaxError` with the byte offset of the offending
-    token, also of the token that takes the word past ``MAX_WORD_LETTERS``
-    letters, and ValueError for n < 3.
+    An exponent k is an optional minus sign followed by ASCII digits, and
+    not zero.  Raises :class:`WordSyntaxError` with the byte offset of the
+    offending token, also of the token that takes the word past
+    ``MAX_WORD_LETTERS`` letters, and ValueError for n < 3.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
@@ -176,10 +188,9 @@ def parse_word(text: str, n: int) -> BraidWord:
         if rest == "":
             exp = 1
         elif rest.startswith("^"):
-            try:
-                exp = int(rest[1:])
-            except ValueError:
-                raise WordSyntaxError(f"bad exponent in {token!r}", pos) from None
+            if not _EXPONENT.fullmatch(rest[1:]):
+                raise WordSyntaxError(f"bad exponent in {token!r}", pos)
+            exp = int(rest[1:])
             if exp == 0:
                 raise WordSyntaxError(f"zero exponent in {token!r}", pos)
         else:
@@ -287,14 +298,29 @@ def _burau_generators(n: int) -> dict[tuple[int, int], BurauMatrix]:
     }
 
 
+@lru_cache(maxsize=None)
+def _sparse_generators(n: int) -> dict[tuple[int, int], tuple]:
+    """The generator matrices as (a, b, c, d) of sparse terms, for ``product_tree``."""
+    return {
+        letter: tuple(sparse_entry(entry.terms) for row in matrix for entry in row)
+        for letter, matrix in _burau_generators(n).items()
+    }
+
+
 def burau(w: BraidWord) -> BurauMatrix:
-    """Exact Burau matrix of a word (product over letters, rightmost first)."""
-    gens = _burau_generators(w.n)
-    zero, one = QLaurent.zero(w.n), QLaurent.scalar(w.n, 1)
-    out: BurauMatrix = ((one, zero), (zero, one))
-    for letter in w.letters:
-        out = _mat_mul(out, gens[letter])
-    return out
+    """Exact Burau matrix of a word: the product of the letters' matrices in order.
+
+    The generator matrices are multiplied in a balanced product tree
+    (``fusion.product_tree``) and each entry is built once, through
+    ``QLaurent.from_rows``; ``_mat_mul`` is the left-to-right product the
+    result must equal.
+    """
+    gens = _sparse_generators(w.n)
+    a, b, c, d = (
+        QLaurent.from_rows(w.n, rows)
+        for rows in product_tree(w.n, [gens[letter] for letter in w.letters])
+    )
+    return ((a, b), (c, d))
 
 
 def burau_equal(a: BurauMatrix, b: BurauMatrix) -> bool:
@@ -428,10 +454,10 @@ class NormalForm:
         letters: list[tuple[int, int]] = []
         for letter, mult in reversed(self.blocks):
             # sigma_{gamma^j P_i}^mult = gamma^j s_i^mult gamma^-j
-            letters += BraidWord.gamma_power(n, letter.index).letters
+            letters += gamma_letters(letter.index)
             letters += [(letter.family, 1)] * mult
-            letters += BraidWord.gamma_power(n, -letter.index).letters
-        letters += BraidWord.gamma_power(n, self.gamma_exp).letters
+            letters += gamma_letters(-letter.index)
+        letters += gamma_letters(self.gamma_exp)
         return BraidWord(n, tuple(letters))
 
     def text(self) -> str:

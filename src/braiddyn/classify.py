@@ -54,6 +54,7 @@ from .braidword import (
     BraidWord,
     NormalForm,
     TwistLetter,
+    gamma_letters,
     joins,
     to_normal_form,
     twist_modulus,
@@ -259,9 +260,9 @@ def _conjugator(n: int, peeled: list[TwistLetter]) -> BraidWord:
     """
     letters: list[tuple[int, int]] = []
     for letter in reversed(peeled):
-        letters += BraidWord.gamma_power(n, letter.index).letters
+        letters += gamma_letters(letter.index)
         letters.append((letter.family, -1))
-        letters += BraidWord.gamma_power(n, -letter.index).letters
+        letters += gamma_letters(-letter.index)
     return BraidWord(n, tuple(letters))
 
 
@@ -336,7 +337,10 @@ def estimate_growth(n: int, w: BraidWord, N: int = 24, t: float = 0.0) -> float:
 
     Classifies first and iterates on the conjugate out(beta), pushing the
     witness vertex's basis units through the letter sequence with the
-    unit-level support tables (no arrow matrices are multiplied).
+    unit-level support tables (no arrow matrices are multiplied).  A
+    periodic out(beta) with one twist letter that cannot follow itself
+    has no closed path; its square gamma^(2s+1) is iterated instead and
+    the log ratio halved.
     """
     return _estimate(classify(n, w), N, t)
 
@@ -347,10 +351,16 @@ def _estimate(res: ClassificationResult, N: int, t: float) -> float:
         raise ValueError("need at least two iterations")
     n = res.n
     auto = _automaton(n)
+    power = 1  # the iterated word is out(beta)^power
     if res.path is not None:
         nf, witness = res.normal_form, res.path
     else:
         nf = to_normal_form(res.out_beta)
+        if nf.blocks:
+            # one twist letter that cannot follow itself: out(beta) has no
+            # closed path, but its square gamma^(2s+1) has one
+            power = 2
+            nf = NormalForm(n, (), 2 * nf.gamma_exp + 1)
         witness = am.recognize(auto, nf, require_closed=True)
         if witness is None:
             raise ValueError("word has no recognised expression to iterate")
@@ -372,8 +382,8 @@ def _estimate(res: ClassificationResult, N: int, t: float) -> float:
                     try:
                         pieces = letter_support(n, letter, unit)
                     except LookupError as exc:
-                        # happens only when the witness is not closed and
-                        # the repetition wraps onto a forbidden pair
+                        # a guard: the iterated path is closed or has no
+                        # twist letter, so no repetition meets a forbidden pair
                         raise ValueError(
                             "support propagation left the recognised region; "
                             "the word cannot be iterated"
@@ -382,4 +392,4 @@ def _estimate(res: ClassificationResult, N: int, t: float) -> float:
                         new[piece] = new.get(piece, 0) + weight * mult
             support = new
         log_masses.append(log_support_mass(n, support, t))
-    return log_masses[N] - log_masses[N - 1]
+    return (log_masses[N] - log_masses[N - 1]) / power

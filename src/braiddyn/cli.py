@@ -4,15 +4,17 @@ Four subcommands: ``classify`` (type + mass growth of a word), ``burau``
 (exact Burau matrix), ``automaton`` (dump the full automaton as JSON),
 ``estimate`` (iterative growth estimator).  Words use the grammar of
 :func:`braiddyn.braidword.parse_word`; ``--word -`` reads one word per
-stdin line and reports in input order.
+stdin line and reports in input order.  An exponent is an optional minus
+sign followed by ASCII digits; ``s1^+2``, ``s2^1_0`` and digits of other
+scripts are syntax errors.
 
 Exit codes: 0 success, 2 word syntax error (message carries the byte
 offset), including a word longer than ``MAX_WORD_LETTERS`` (10^6)
 letters before free reduction, 3 invalid n, 4 a computation error such
-as ``estimate --steps 1``, a word the estimator cannot iterate, a
-``RuntimeError`` from the guards of the classification loop, or a word
-that needs more conjugation rounds than ``classify --max-iter`` allows
-(one ``error: ...`` line on stderr).
+as ``estimate --steps 1``, an error from the guards of the
+classification loop or of the estimator, or a word that needs more
+conjugation rounds than ``classify --max-iter`` allows (one
+``error: ...`` line on stderr).
 Reals are printed with 9 decimal places by default; the environment
 variable BRAIDDYN_PRECISION overrides this.
 """
@@ -23,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import automaton as am
 from .braidword import WordSyntaxError, burau, parse_word
@@ -192,7 +195,9 @@ def _gather_words(args) -> list[str]:
     return [args.word]
 
 
-def main(argv: list[str] | None = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(prog="braiddyn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -221,8 +226,11 @@ def main(argv: list[str] | None = None) -> int:
     add_common(p_est)
     p_est.add_argument("--steps", type=int, default=24)
     p_est.add_argument("--t", type=float, default=0.0)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     if args.n < 3:
         print(f"invalid n={args.n}: need n >= 3", file=sys.stderr)
         return 3

@@ -28,6 +28,15 @@ entry a b + c d is one call.  Intermediate products are plain rows;
 results become ``FusionVec``/``MassPoly`` objects through their checking
 constructors.  Signed coefficients are allowed only in the kernel and in
 the Burau entries (``braidword.QLaurent``), which share it.
+
+Long products of 2x2 matrices (path matrices, Burau matrices) run through
+``product_tree``: neighbours are multiplied pairwise, level by level, with
+entries kept as sparse terms (exponent, nonzero (label, coefficient)
+pairs) between levels, and the caller builds each of the four result
+entries once through its checking constructor.  Pairing factors of equal
+size keeps the cost close to the size of the result: the entries of a
+block power M^k are geometric sums, and a tree builds them in about
+k log k term products where a left-to-right fold needs about k^2.
 """
 
 from __future__ import annotations
@@ -46,6 +55,8 @@ __all__ = [
     "pf_dim",
     "ring_mul",
     "mass_dot",
+    "product_tree",
+    "sparse_entry",
     "mass_mul",
     "eval_mass",
 ]
@@ -188,25 +199,81 @@ def _fuse_into(
                 acc[c] += m
 
 
-def _laurent_dot(n: int, pairs) -> dict[int, list[int]]:
+def _sparse_dot(n: int, table, pairs) -> dict[int, list[int]]:
     """Sum of the Laurent products x * y over ``pairs``, as exponent -> dense row.
 
-    x and y are sequences of (exponent, coefficient row) terms; exponents
-    add and rows multiply in the fusion ring.  Rows that cancel to zero
-    are kept; the caller's constructor drops them.
+    x and y are sequences of sparse terms (exponent, nonzero pairs of the
+    row, as given by ``_nonzero``); exponents add and rows multiply in the
+    fusion ring.  Rows that cancel to zero are kept.
     """
-    table = _fusion_table(n)
     acc: dict[int, list[int]] = {}
     for x, y in pairs:
-        ys = [(e, _nonzero(row)) for e, row in y]
-        for e1, row in x:
-            u = _nonzero(row)
-            for e2, v in ys:
+        for e1, u in x:
+            for e2, v in y:
                 out = acc.get(e1 + e2)
                 if out is None:
                     out = acc[e1 + e2] = [0] * (n - 1)
                 _fuse_into(table, out, u, v)
     return acc
+
+
+def _laurent_dot(n: int, pairs) -> dict[int, list[int]]:
+    """``_sparse_dot`` for terms with dense rows (exponent, coefficient row).
+
+    Rows that cancel to zero are kept; the caller's constructor drops them.
+    """
+    return _sparse_dot(
+        n, _fusion_table(n), [(sparse_entry(x), sparse_entry(y)) for x, y in pairs]
+    )
+
+
+SparseMatrix = tuple  # (a, b, c, d) of [[a, b], [c, d]], each a sequence of sparse terms
+
+
+def _sparse_mat_mul(n: int, table, x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
+    a, b, c, d = x
+    p, q, r, s = y
+    return tuple(
+        [(e, u) for e, row in _sparse_dot(n, table, pairs).items() if (u := _nonzero(row))]
+        for pairs in (((a, p), (b, r)), ((a, q), (b, s)), ((c, p), (d, r)), ((c, q), (d, s)))
+    )
+
+
+def product_tree(n: int, mats: Sequence[SparseMatrix]) -> tuple[dict[int, list[int]], ...]:
+    """Product mats[0] mats[1] ... of 2x2 matrices, as four exponent -> dense row dicts.
+
+    A matrix is the tuple (a, b, c, d) of its entries [[a, b], [c, d]],
+    each a sequence of sparse terms (exponent, nonzero (label, coefficient)
+    pairs).  Neighbours are multiplied pairwise, level by level, with an
+    odd tail carried up unchanged, so the two factors of every product have
+    comparable size and the cost follows the size of the result.  Entries
+    stay sparse between levels; the caller builds its checked objects
+    from the returned rows (``MassPoly.from_rows``).  The empty product is
+    the identity.
+    """
+    table = _fusion_table(n)
+    level = list(mats) or [(((0, ((0, 1),)),), (), (), ((0, ((0, 1),)),))]
+    while len(level) > 1:
+        paired = [
+            _sparse_mat_mul(n, table, level[i], level[i + 1])
+            for i in range(0, len(level) - 1, 2)
+        ]
+        level = paired + level[len(paired) * 2 :]
+    return tuple(_dense_rows(n, entry) for entry in level[0])
+
+
+def sparse_entry(terms) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """(exponent, coefficient row) terms as the sparse terms of ``product_tree``."""
+    return tuple((e, tuple(_nonzero(row))) for e, row in terms)
+
+
+def _dense_rows(n: int, entry) -> dict[int, list[int]]:
+    rows: dict[int, list[int]] = {}
+    for e, pairs in entry:
+        row = rows[e] = [0] * (n - 1)
+        for a, c in pairs:
+            row[a] = c
+    return rows
 
 
 def fuse(n: int, a: int, b: int) -> FusionVec:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braiddyn.automaton import (
+    Arrow,
     PathWitness,
     _identity_matrix,
     _witness_start,
@@ -531,3 +532,73 @@ def test_log_pf_matches_exact_eigenvalue(n):
 
 def test_log_pf_of_empty_path_is_zero():
     assert log_pf(PathWitness(("v", 0), (), True), 123.0) == 0.0
+
+
+# --- the product tree against the left-to-right fold ----------------------------
+
+TREE_NS = [3, 4, 5, 8, 16]
+
+
+def fold_path_matrix(n, arrows):
+    """M(e_k) ... M(e_1) multiplied left to right with ``mat_mul``, the oracle."""
+    out = _identity_matrix(n)
+    for arrow in arrows:
+        out = mat_mul(arrow.matrix, out)
+    return out
+
+
+_OUTGOING = {
+    n: {v: [a for a in _AUTOMATA[n].arrows if a.source == v] for v in _AUTOMATA[n].vertex_order()}
+    for n in TREE_NS
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TREE_NS), st.sampled_from([0, 1, 2, 3, 4, 7, 8, 17, 32]), st.data())
+def test_path_matrix_tree_equals_fold_on_walks(n, length, data):
+    auto = _AUTOMATA[n]
+    cur = start = data.draw(st.sampled_from(auto.vertex_order()))
+    arrows = []
+    for _ in range(length):
+        arrow = data.draw(st.sampled_from(_OUTGOING[n][cur]))
+        arrows.append(arrow)
+        cur = arrow.target
+    walk = PathWitness(start, tuple(arrows), cur == start)
+    assert path_matrix(auto, walk) == fold_path_matrix(n, arrows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(TREE_NS),
+    st.lists(st.tuples(st.sampled_from((1, 2)), st.sampled_from((1, -1))), max_size=40),
+)
+def test_path_matrix_tree_equals_fold_on_recognised_words(n, letters):
+    auto = _AUTOMATA[n]
+    # every normal form is recognised
+    path = recognize(auto, to_normal_form(BraidWord(n, tuple(letters))), require_closed=True)
+    assert path_matrix(auto, path) == fold_path_matrix(n, path.arrows)
+
+
+def test_path_matrix_of_a_long_block_power():
+    # a loop arrow taken k times: the tree splits unevenly at every level
+    auto = _AUTOMATA[5]
+    for k in (1, 2, 3, 63, 64, 65, 200):
+        path = recognize(auto, to_normal_form(BraidWord(5, ((1, 1),) * k + ((2, -1),) * 3)))
+        assert path_matrix(auto, path) == fold_path_matrix(5, path.arrows)
+
+
+def test_path_matrix_rejects_a_negative_arrow_entry():
+    # an arrow planted with a negative coefficient, bypassing the checks,
+    # must not survive the product: each entry goes through MassPoly
+    auto = _AUTOMATA[5]
+    arrow = auto.twist_arrows[(TwistLetter(1, 0), ("v", 1))]
+    bad = object.__new__(FusionVec)
+    object.__setattr__(bad, "n", 5)
+    object.__setattr__(bad, "coeffs", (0, -1, 0, 0))
+    entry = object.__new__(MassPoly)
+    object.__setattr__(entry, "n", 5)
+    object.__setattr__(entry, "terms", ((0, bad),))
+    (a, b), (c, d) = arrow.matrix
+    planted = Arrow(arrow.source, arrow.target, arrow.label, ((a, entry), (c, d)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        path_matrix(auto, PathWitness(("v", 1), (planted,), False))

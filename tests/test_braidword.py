@@ -11,6 +11,8 @@ from braiddyn.braidword import (
     QLaurent,
     TwistLetter,
     WordSyntaxError,
+    _burau_generators,
+    _mat_mul,
     burau,
     burau_equal,
     coxeter_matrix,
@@ -71,6 +73,9 @@ BAD_TOKENS = [
     "s2^x",
     "\u00e9",
     "s1^\u00e9",
+    "s1^\u0663",  # a Unicode decimal digit (Arabic-Indic 3)
+    "s2^1_0",
+    "s1^+2",
     f"s2^{MAX_WORD_LETTERS + 1}",
     f"s1^-{MAX_WORD_LETTERS + 1}",
 ]
@@ -79,9 +84,9 @@ BAD_TOKENS = [
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(3, 16),
-    # int() reads any Unicode decimal digit, so "s1^\u0663" (Arabic-Indic 3)
-    # is the way a valid prefix carries a multi-byte character
-    st.sampled_from(["", "s1^\u0663 "]),
+    # exponents are ASCII only, so a valid prefix is ASCII; the multi-byte
+    # characters sit in the bad tokens
+    st.sampled_from(["", "s1^-3 "]),
     letter_lists,
     st.sampled_from([" ", "  ", "\t", "\n"]),
     st.sampled_from(BAD_TOKENS),
@@ -92,6 +97,23 @@ def test_parse_error_offset_counts_prefix_bytes(n, lead, letters, sep, bad, tail
     with pytest.raises(WordSyntaxError) as err:
         parse_word(prefix + bad + tail, n)
     assert err.value.offset == len(prefix.encode())
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("s1^\u0663", 0),
+        ("s1 s2^1_0 s1", 3),
+        ("s2^-2  s1^+2", 7),
+        ("s1^\u0663 s1^\u00e9", 0),  # the first bad token is reported, in bytes
+        ("s2 s1^\u00e9 s1^x", 3),
+    ],
+)
+def test_exponent_grammar_is_ascii_digits(text, offset):
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(text, 5)
+    assert err.value.offset == offset
+    assert "bad exponent" in str(err.value)
 
 
 def test_word_length_cap():
@@ -166,6 +188,39 @@ def test_burau_is_a_homomorphism(data):
     from braiddyn.braidword import _mat_mul
 
     assert burau_equal(burau(u * v), _mat_mul(burau(u), burau(v)))
+
+
+def fold_burau(w):
+    """The generator matrices multiplied left to right with ``_mat_mul``, the oracle."""
+    zero, one = QLaurent.zero(w.n), QLaurent.scalar(w.n, 1)
+    out = ((one, zero), (zero, one))
+    gens = _burau_generators(w.n)
+    for letter in w.letters:
+        out = _mat_mul(out, gens[letter])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 4, 5, 8, 16]), letter_lists)
+def test_burau_tree_equals_fold(n, letters):
+    w = BraidWord(n, tuple(letters))
+    assert burau(w) == fold_burau(w)
+
+
+@pytest.mark.parametrize("k", [1, 7, 2000])
+def test_burau_of_a_generator_power_closed_form(k):
+    # burau(s1^k) = [[(-q^2)^k, -[Pi_1] sum_{i<k} (-1)^i q^(2i+1)], [0, 1]]
+    n = 5
+    a = QLaurent.term(n, 2 * k, ((-1) ** k, 0, 0, 0))
+    b = QLaurent.from_dict(n, {2 * i + 1: (0, -((-1) ** i), 0, 0) for i in range(k)})
+    want = ((a, b), (QLaurent.zero(n), QLaurent.scalar(n, 1)))
+    assert burau(BraidWord(n, ((1, 1),) * k)) == want
+
+
+def test_burau_of_a_long_word_is_the_product_of_its_halves():
+    n = 5
+    long_power, tail = BraidWord(n, ((1, 1),) * 2000), BraidWord(n, ((2, -1),) * 3)
+    assert burau(long_power * tail) == _mat_mul(burau(long_power), burau(tail))
 
 
 # --- Coxeter specialisation and roots ----------------------------------------

@@ -483,6 +483,35 @@ def test_estimator_on_gamma():
         assert abs(est) < 1e-9
 
 
+def _periodic_words_n3(max_len):
+    seen = set()
+    for k in range(max_len + 1):
+        for code in range(4**k):
+            letters = tuple(((code >> (2 * i)) & 1) + 1 for i in range(k))
+            signs = tuple(1 - 2 * ((code >> (2 * i + 1)) & 1) for i in range(k))
+            w = BraidWord(3, tuple(zip(letters, signs)))
+            if len(w) == k and w not in seen:
+                seen.add(w)
+                yield w
+
+
+def test_estimator_on_odd_n_periodic_words():
+    # words with one twist letter that cannot follow itself have no closed
+    # path; the estimator iterates their square gamma^(2s+1) instead
+    words = [parse_word("s2 s1 s2", 3), parse_word("s1 s2 s1 s2 s2", 5)]
+    words += [w for w in _periodic_words_n3(6) if classify(3, w).braid_type == "periodic"]
+    squares = 0
+    for w in words:
+        res = classify(w.n, w)
+        assert res.braid_type == "periodic"
+        squares += res.path is None and bool(res.normal_form.blocks)
+        for t in (-1.0, 0.0, 0.5):
+            assert estimate_growth(w.n, w, t=t) == pytest.approx(
+                res.growth.evaluate(t), rel=0, abs=1e-9
+            ), (w.text(), t)
+    assert squares > 10
+
+
 def test_estimator_rejects_tiny_n_steps():
     with pytest.raises(ValueError):
         estimate_growth(5, parse_word("s1", 5), N=1)

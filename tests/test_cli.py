@@ -161,7 +161,7 @@ def test_estimate_at_large_t(capsys, t):
     "argv, reason",
     [
         (["estimate", "--n", "5", "--word", "s1 s2^-1", "--steps", "1"], "at least two iterations"),
-        (["estimate", "--n", "3", "--word", "s1 s2 s1"], "left the recognised region"),
+        (["estimate", "--n", "5", "--word", "s1 s2^-1", "--steps", "0"], "at least two iterations"),
     ],
 )
 def test_computation_error_exit_code(capsys, argv, reason):
@@ -170,6 +170,17 @@ def test_computation_error_exit_code(capsys, argv, reason):
     assert out == ""
     assert err.startswith("error: ") and reason in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("n, word", [(3, "s1 s2 s1"), (3, "s2 s1 s2"), (5, "s1 s2 s1 s2 s2")])
+def test_estimate_odd_n_periodic_words(capsys, n, word):
+    # periodic words whose square, not the word, has a closed path
+    code, out, err = run(
+        capsys, ["estimate", "--n", str(n), "--word", word, "--steps", "8", "--json"]
+    )
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["estimate"] == pytest.approx(data["closed_form"], abs=1e-9)
 
 
 def test_estimate_classifies_each_word_once(capsys, monkeypatch):
