@@ -9,14 +9,16 @@ sigma_{gamma^j P_1} arrows point into v_j from everything except
 u_{j+n/2-1}, and sigma_{gamma^j P_2} arrows into u_j from everything
 except v_j.
 
-Arrow matrices are 2x2 with MassPoly entries: column c holds the
-coordinates, in the target basis, of the image of the c-th source basis
-unit.  Twist matrices come from the letter-support tables; gamma arrows
-are the identity except across the index wraparound, which carries the
-full central shift (s^-2 for odd n, the class Pi_{n-2} times s^-1 for
-even n, and the inverses on gamma^-1).  Entries always have nonnegative
-coefficients, so an entry is strictly positive for every t exactly when
-it is a nonzero polynomial; zero patterns are read off symbolically.
+Every arrow matrix is built by one rule.  It is 2x2 with MassPoly
+entries, and column c of the arrow (label, source) is the HN support of
+the label applied to the c-th basis unit of the source, read in the
+target basis: a piece over the r-th target unit with label a, level e
+and multiplicity w adds w [Pi_a] s^e to row r.  The support of a twist
+letter is ``twistcalc.letter_support``; that of gamma^{+-1} is the one
+unit ``twistcalc.gamma_on_unit``, which carries the central shift at the
+index wraparound.  Entries always have nonnegative coefficients, so an
+entry is strictly positive for every t exactly when it is a nonzero
+polynomial; zero patterns are read off symbolically.
 
 Recognition is one deterministic pass.  Gamma arrows leave every vertex,
 and a twist letter y leaves every vertex except forbidden_source(y), so a
@@ -44,17 +46,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .braidword import NormalForm, TwistLetter, forbidden_source, joins, target_vertex, twist_modulus
-from .fusion import (
-    FusionVec,
-    MassPoly,
-    eval_mass,
-    mass_dot,
-    mass_mul,
-    pf_dim,
-    product_tree,
-    sparse_entry,
-)
-from .twistcalc import U, V1, V2, SemistableUnit, support_column
+from .fusion import MassPoly, eval_mass, mass_dot, pf_dim, product_tree, sparse_entry
+from .fusion import mass_mul  # noqa: F401  the bench tracer wraps automaton.mass_mul
+from .twistcalc import U, V1, V2, SemistableUnit, gamma_on_unit, letter_support
 
 __all__ = [
     "Arrow",
@@ -128,17 +122,6 @@ class PathWitness:
         return self.arrows[-1].target if self.arrows else self.start
 
 
-def _identity_matrix(n: int) -> MassMatrix:
-    one, zero = MassPoly.one(n), MassPoly.zero(n)
-    return ((one, zero), (zero, one))
-
-
-def _scalar_matrix(n: int, label: int, exp: int) -> MassMatrix:
-    s = MassPoly.from_dict(n, {exp: FusionVec.simple(n, label)})
-    zero = MassPoly.zero(n)
-    return ((s, zero), (zero, s))
-
-
 def mat_mul(a: MassMatrix, b: MassMatrix) -> MassMatrix:
     return tuple(
         tuple(mass_dot(((a[i][0], b[0][j]), (a[i][1], b[1][j]))) for j in range(2))
@@ -155,11 +138,8 @@ class MassAutomaton:
     gamma_arrows: dict[tuple[int, VertexId], Arrow]
 
     def vertex_order(self) -> list[VertexId]:
-        m = twist_modulus(self.n)
-        ids = [("v", j) for j in range(m)]
-        if self.n % 2 == 0:
-            ids += [("u", j) for j in range(m)]
-        return ids
+        """v_0, v_1, ..., then u_0, u_1, ...: the order ``build`` inserts vertices in."""
+        return list(self.vertices)
 
     def letters(self) -> list[TwistLetter]:
         m = twist_modulus(self.n)
@@ -197,84 +177,60 @@ def _vertex_basis(n: int, vid: VertexId) -> tuple[SemistableUnit, SemistableUnit
     return (SemistableUnit(V2, j), SemistableUnit(U, j))
 
 
+def _arrow_matrix(
+    n: int,
+    columns: list[dict[SemistableUnit, int]],
+    basis: tuple[SemistableUnit, SemistableUnit],
+) -> MassMatrix:
+    """The matrix whose column c is the support columns[c] read in ``basis``.
+
+    Coefficient rows are accumulated per entry and exponent of s, and each
+    entry is built once.
+    """
+    slot = {(b.family, b.index): r for r, b in enumerate(basis)}
+    acc: list[list[dict[int, list[int]]]] = [[{}, {}], [{}, {}]]
+    for c, support in enumerate(columns):
+        for piece, w in support.items():
+            entry = acc[slot[(piece.family, piece.index)]][c]
+            entry.setdefault(piece.level, [0] * (n - 1))[piece.label] += w
+    return tuple(tuple(MassPoly.from_rows(n, entry) for entry in row) for row in acc)
+
+
 def build(n: int) -> MassAutomaton:
     """Construct the full automaton; matrices are precomputed on arrows."""
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
     m = twist_modulus(n)
-    vertices: dict[VertexId, Vertex] = {}
-    ids = [("v", j) for j in range(m)] + ([("u", j) for j in range(m)] if n % 2 == 0 else [])
-    for vid in ids:
-        vertices[vid] = Vertex(vid, _vertex_basis(n, vid))
+    kinds = ("v",) if n % 2 else ("v", "u")
+    ids = [(kind, j) for kind in kinds for j in range(m)]
+    vertices = {vid: Vertex(vid, _vertex_basis(n, vid)) for vid in ids}
 
-    arrows: list[Arrow] = []
+    def arrow(src: VertexId, tgt: VertexId, label: TwistLetter | int) -> Arrow:
+        units = vertices[src].basis
+        if isinstance(label, int):
+            columns = [{gamma_on_unit(n, unit, label): 1} for unit in units]
+        else:
+            columns = [letter_support(n, label, unit) for unit in units]
+        return Arrow(src, tgt, label, _arrow_matrix(n, columns, vertices[tgt].basis))
+
     twist_arrows: dict[tuple[TwistLetter, VertexId], Arrow] = {}
-    gamma_arrows: dict[tuple[int, VertexId], Arrow] = {}
-
-    # Base-letter matrices come from the support tables; every other twist
-    # arrow is the exact gamma-conjugate of a base arrow.  Pulling the
-    # source back by gamma^-j crosses the index wraparound at most once,
-    # contributing one central monomial factor (s^2 odd, [Pi_{n-2}] s even).
-    wrap = (
-        MassPoly.from_dict(n, {2: FusionVec.simple(n, 0)})
-        if n % 2
-        else MassPoly.from_dict(n, {1: FusionVec.simple(n, n - 2)})
-    )
-    base_letters = [TwistLetter(1, 0)] + ([TwistLetter(2, 0)] if n % 2 == 0 else [])
-    base_matrices: dict[tuple[int, VertexId], MassMatrix] = {}
-    for letter in base_letters:
-        tgt_basis = _vertex_basis(n, target_vertex(n, letter))
-        banned = forbidden_source(n, letter)
-        for src in ids:
-            if src == banned:
-                continue
-            cols = [
-                support_column(n, letter, unit, tgt_basis)
-                for unit in vertices[src].basis
-            ]
-            base_matrices[(letter.family, src)] = (
-                (cols[0][0], cols[1][0]),
-                (cols[0][1], cols[1][1]),
-            )
-
-    letters = [TwistLetter(f, j) for f in ([1] if n % 2 else [1, 2]) for j in range(m)]
-    for letter in letters:
-        tgt = target_vertex(n, letter)
-        banned = forbidden_source(n, letter)
-        j = letter.index
-        for src in ids:
-            if src == banned:
-                continue
-            base_src = (src[0], (src[1] - j) % m)
-            matrix = base_matrices[(letter.family, base_src)]
-            if src[1] < j:  # the gamma^-j pull-back crossed the wraparound
-                matrix = tuple(
-                    tuple(mass_mul(entry, wrap) for entry in row) for row in matrix
-                )
-            arrow = Arrow(src, tgt, letter, matrix)
-            arrows.append(arrow)
-            twist_arrows[(letter, src)] = arrow
-
-    for kind in {vid[0] for vid in ids}:
+    for family in (1,) if n % 2 else (1, 2):
         for j in range(m):
-            fwd_src, fwd_tgt = (kind, j), (kind, (j + 1) % m)
-            if j + 1 < m:
-                fwd_matrix = _identity_matrix(n)
-                bwd_matrix = _identity_matrix(n)
-            elif n % 2:
-                fwd_matrix = _scalar_matrix(n, 0, -2)
-                bwd_matrix = _scalar_matrix(n, 0, 2)
-            else:
-                fwd_matrix = _scalar_matrix(n, n - 2, -1)
-                bwd_matrix = _scalar_matrix(n, n - 2, 1)
-            fwd = Arrow(fwd_src, fwd_tgt, 1, fwd_matrix)
-            bwd = Arrow(fwd_tgt, fwd_src, -1, bwd_matrix)
-            arrows.append(fwd)
-            arrows.append(bwd)
-            gamma_arrows[(1, fwd_src)] = fwd
-            gamma_arrows[(-1, fwd_tgt)] = bwd
+            letter = TwistLetter(family, j)
+            tgt, banned = target_vertex(n, letter), forbidden_source(n, letter)
+            for src in ids:
+                if src != banned:
+                    twist_arrows[(letter, src)] = arrow(src, tgt, letter)
 
-    return MassAutomaton(n, vertices, tuple(arrows), twist_arrows, gamma_arrows)
+    gamma_arrows: dict[tuple[int, VertexId], Arrow] = {}
+    for kind in kinds:
+        for j in range(m):
+            src, tgt = (kind, j), (kind, (j + 1) % m)
+            gamma_arrows[(1, src)] = arrow(src, tgt, 1)
+            gamma_arrows[(-1, tgt)] = arrow(tgt, src, -1)
+
+    arrows = (*twist_arrows.values(), *gamma_arrows.values())
+    return MassAutomaton(n, vertices, arrows, twist_arrows, gamma_arrows)
 
 
 def simulate(

@@ -8,21 +8,28 @@ stdin line and reports in input order.  An exponent is an optional minus
 sign followed by ASCII digits; ``s1^+2``, ``s2^1_0`` and digits of other
 scripts are syntax errors.
 
+``--t`` takes a finite real and ``--max-iter`` an integer >= 0 (0 means
+no guard); anything else, such as ``--t nan``, ``--t inf`` or
+``--max-iter -1``, is a usage error.
+
 Exit codes: 0 success, 2 word syntax error (message carries the byte
 offset), including a word longer than ``MAX_WORD_LETTERS`` (10^6)
-letters before free reduction, 3 invalid n, 4 a computation error such
-as ``estimate --steps 1``, an error from the guards of the
-classification loop or of the estimator, or a word that needs more
-conjugation rounds than ``classify --max-iter`` allows (one
-``error: ...`` line on stderr).
+letters before free reduction, or a usage error from argparse, 3
+invalid n, 4 a computation error such as ``estimate --steps 1``, an
+error from the guards of the classification loop or of the estimator, a
+word that needs more conjugation rounds than ``classify --max-iter``
+allows, or a computed real that is not finite, such as ``h_t`` at
+``--t 1e308`` (one ``error: ...`` line on stderr).
 Reals are printed with 9 decimal places by default; the environment
-variable BRAIDDYN_PRECISION overrides this.
+variable BRAIDDYN_PRECISION overrides this.  Output is valid JSON and
+never holds NaN or an infinity.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import lru_cache
@@ -41,12 +48,37 @@ def _precision() -> int:
         return 9
 
 
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"a computed real is not finite: {x}")
+    return x
+
+
 def _round(x: float) -> float:
-    return float(f"{x:.{_precision()}f}")
+    return float(f"{_finite(x):.{_precision()}f}")
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.{_precision()}f}"
+    return f"{_finite(x):.{_precision()}f}"
+
+
+def _checked(convert, ok, expected: str):
+    """An argparse type: ``convert`` the text, then reject values failing ``ok``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_finite_real = _checked(float, math.isfinite, "a finite real")
+_nonnegative_int = _checked(int, lambda k: k >= 0, "an integer >= 0")
 
 
 def _classification_report(res: ClassificationResult) -> dict:
@@ -211,9 +243,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="classify a braid word")
     add_common(p_classify)
-    p_classify.add_argument("--t", type=float, default=0.0)
+    p_classify.add_argument("--t", type=_finite_real, default=0.0)
     p_classify.add_argument(
-        "--max-iter", type=int, default=0, help="extra guard on conjugation rounds"
+        "--max-iter",
+        type=_nonnegative_int,
+        default=0,
+        help="extra guard on conjugation rounds; 0 means none",
     )
 
     p_burau = sub.add_parser("burau", help="print the exact Burau matrix")
@@ -225,7 +260,7 @@ def _parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="iterative mass growth estimate")
     add_common(p_est)
     p_est.add_argument("--steps", type=int, default=24)
-    p_est.add_argument("--t", type=float, default=0.0)
+    p_est.add_argument("--t", type=_finite_real, default=0.0)
     return parser
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .braidword import TwistLetter, twist_modulus
-from .fusion import FusionVec, MassPoly, _fusion_table, delta_value
+from .fusion import _fusion_table, delta_value
 
 __all__ = [
     "SemistableUnit",
@@ -90,24 +90,20 @@ def unit_mass(n: int, u: SemistableUnit, t: float) -> float:
     return delta_value(n, u.label) * math.exp(float(unit_phase(n, u)) * t)
 
 
-def gamma_on_unit(n: int, u: SemistableUnit, direction: int) -> SemistableUnit:
-    """Apply gamma (direction +1) or gamma^-1 (-1); phase moves by -+2/n exactly.
+def gamma_on_unit(n: int, u: SemistableUnit, e: int) -> SemistableUnit:
+    """Apply gamma^e for any integer e; the phase moves by -2e/n exactly.
 
-    Wrapping past the index range applies the central shift: level -2 for
-    odd n, level -1 plus the label involution a -> n-2-a for even n (and
-    the inverse adjustments in direction -1).
+    With wraps, j = divmod(index + e, m), the index becomes j and each
+    wrap past the index range applies the central shift once: the level
+    moves by -2 wraps for odd n, and by -wraps for even n, where an odd
+    number of wraps also applies the label involution a -> n-2-a.
     """
     _check_unit(n, u)
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    m = twist_modulus(n)
-    j = u.index + direction
-    if 0 <= j < m:
-        return SemistableUnit(u.family, j, u.label, u.level)
-    j %= m
+    wraps, j = divmod(u.index + e, twist_modulus(n))
     if n % 2:
-        return SemistableUnit(u.family, j, u.label, u.level - 2 * direction)
-    return SemistableUnit(u.family, j, n - 2 - u.label, u.level - direction)
+        return SemistableUnit(u.family, j, u.label, u.level - 2 * wraps)
+    label = n - 2 - u.label if wraps % 2 else u.label
+    return SemistableUnit(u.family, j, label, u.level - wraps)
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +189,12 @@ def letter_support(
     """HN support of ``letter`` applied to a decorated unit.
 
     The twist sigma_{gamma^j P_i} is gamma^j sigma_i gamma^-j, so the
-    unit is pulled back by gamma^j, the base table for sigma_i is read,
+    unit is pulled back by gamma^-j, the base table for sigma_i is read,
     the unit's own decoration is fused into each piece, and the pieces
-    are pushed forward by gamma^j again.  Non-viable (letter, unit)
-    combinations - the unit sits over the forbidden source vertex -
-    raise LookupError; normal forms never produce them.
+    are pushed forward by gamma^j again, each move one closed-form
+    ``gamma_on_unit`` call.  Non-viable (letter, unit) combinations - the
+    unit sits over the forbidden source vertex - raise LookupError;
+    normal forms never produce them.
 
     The support of the unit at level 0 is computed once per (n, letter,
     family, index, label) and kept; a call shifts each cached piece by
@@ -222,9 +219,7 @@ def _level0_support(
 ) -> tuple[tuple[tuple[str, int, int, int], int], ...]:
     # Fewer than 2n^3 entries per n: letters x units x labels.  A forbidden
     # source raises, and lru_cache keeps no entry for it.
-    red = SemistableUnit(family, index, label)
-    for _ in range(letter.index):
-        red = gamma_on_unit(n, red, -1)
+    red = gamma_on_unit(n, SemistableUnit(family, index, label), -letter.index)
     pieces = _base_pieces(n, letter.family, red.family, red.index)
     if pieces is None:
         raise LookupError(
@@ -234,10 +229,10 @@ def _level0_support(
     slots = _slot_units(letter.family)
     out: dict[SemistableUnit, int] = {}
     for slot, x, c in pieces:
+        base = slots[slot]
         for b in _fusion_table(n)[x][red.label]:
-            piece = SemistableUnit(slots[slot].family, slots[slot].index, b, c + red.level)
-            for _ in range(letter.index):
-                piece = gamma_on_unit(n, piece, 1)
+            piece = SemistableUnit(base.family, base.index, b, c + red.level)
+            piece = gamma_on_unit(n, piece, letter.index)
             out[piece] = out.get(piece, 0) + 1
     return tuple(((p.family, p.index, p.label, p.level), mult) for p, mult in out.items())
 
@@ -268,20 +263,3 @@ def _unit_log_terms(n: int, family: str, index: int, label: int) -> tuple[int, f
     # at most 3n^2 entries per n: families x indices x labels
     _check_unit(n, SemistableUnit(family, index, label))
     return _phase_numerator(n, family, index), math.log(delta_value(n, label))
-
-
-def support_column(
-    n: int, letter: TwistLetter, u: SemistableUnit, basis: tuple[SemistableUnit, SemistableUnit]
-) -> tuple[MassPoly, MassPoly]:
-    """Coordinates of letter_support(u) in a target vertex basis."""
-    rows = [MassPoly.zero(n), MassPoly.zero(n)]
-    for piece, w in letter_support(n, letter, u).items():
-        for r, b in enumerate(basis):
-            if (piece.family, piece.index) == (b.family, b.index):
-                rows[r] = rows[r] + MassPoly.from_dict(
-                    n, {piece.level: FusionVec.simple(n, piece.label).scaled(w)}
-                )
-                break
-        else:
-            raise AssertionError(f"piece {piece} missed the target basis")
-    return rows[0], rows[1]

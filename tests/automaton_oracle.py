@@ -1,0 +1,111 @@
+"""The base-and-wrap construction of the mass automaton, kept as an oracle.
+
+``automaton.build`` reads every arrow off the unit action.  This module
+builds the same automaton the earlier way: only the base letters
+twist1[0] (and twist2[0] for even n) are read from the support tables,
+piece by piece; every other twist arrow is the gamma-conjugate of a base
+arrow, times one central monomial when the pull-back crosses the index
+wraparound; and the gamma arrows are written down by hand.
+"""
+
+from __future__ import annotations
+
+from braiddyn.automaton import Arrow, MassAutomaton, MassMatrix, Vertex, _vertex_basis
+from braiddyn.braidword import TwistLetter, forbidden_source, target_vertex, twist_modulus
+from braiddyn.fusion import FusionVec, MassPoly, mass_mul
+from braiddyn.twistcalc import SemistableUnit, letter_support
+
+
+def identity_matrix(n: int) -> MassMatrix:
+    one, zero = MassPoly.one(n), MassPoly.zero(n)
+    return ((one, zero), (zero, one))
+
+
+def scalar_matrix(n: int, label: int, exp: int) -> MassMatrix:
+    s = MassPoly.from_dict(n, {exp: FusionVec.simple(n, label)})
+    zero = MassPoly.zero(n)
+    return ((s, zero), (zero, s))
+
+
+def support_column(
+    n: int, letter: TwistLetter, u: SemistableUnit, basis: tuple[SemistableUnit, SemistableUnit]
+) -> tuple[MassPoly, MassPoly]:
+    """Coordinates of letter_support(u) in a target vertex basis, one piece at a time."""
+    rows = [MassPoly.zero(n), MassPoly.zero(n)]
+    for piece, w in letter_support(n, letter, u).items():
+        for r, b in enumerate(basis):
+            if (piece.family, piece.index) == (b.family, b.index):
+                rows[r] = rows[r] + MassPoly.from_dict(
+                    n, {piece.level: FusionVec.simple(n, piece.label).scaled(w)}
+                )
+                break
+        else:
+            raise AssertionError(f"piece {piece} missed the target basis")
+    return rows[0], rows[1]
+
+
+def build_by_wrap(n: int) -> MassAutomaton:
+    """The automaton from base-letter matrices, gamma conjugation and hand-written gammas."""
+    m = twist_modulus(n)
+    kinds = ("v",) if n % 2 else ("v", "u")
+    ids = [(kind, j) for kind in kinds for j in range(m)]
+    vertices = {vid: Vertex(vid, _vertex_basis(n, vid)) for vid in ids}
+
+    arrows: list[Arrow] = []
+    twist_arrows: dict = {}
+    gamma_arrows: dict = {}
+
+    # Pulling the source back by gamma^-j crosses the index wraparound at
+    # most once, contributing one central monomial factor (s^2 odd,
+    # [Pi_{n-2}] s even).
+    wrap = (
+        MassPoly.from_dict(n, {2: FusionVec.simple(n, 0)})
+        if n % 2
+        else MassPoly.from_dict(n, {1: FusionVec.simple(n, n - 2)})
+    )
+    base_letters = [TwistLetter(1, 0)] + ([TwistLetter(2, 0)] if n % 2 == 0 else [])
+    base_matrices: dict = {}
+    for letter in base_letters:
+        tgt_basis = _vertex_basis(n, target_vertex(n, letter))
+        banned = forbidden_source(n, letter)
+        for src in ids:
+            if src == banned:
+                continue
+            cols = [support_column(n, letter, unit, tgt_basis) for unit in vertices[src].basis]
+            base_matrices[(letter.family, src)] = (
+                (cols[0][0], cols[1][0]),
+                (cols[0][1], cols[1][1]),
+            )
+
+    letters = [TwistLetter(f, j) for f in ([1] if n % 2 else [1, 2]) for j in range(m)]
+    for letter in letters:
+        tgt = target_vertex(n, letter)
+        banned = forbidden_source(n, letter)
+        j = letter.index
+        for src in ids:
+            if src == banned:
+                continue
+            matrix = base_matrices[(letter.family, (src[0], (src[1] - j) % m))]
+            if src[1] < j:  # the gamma^-j pull-back crossed the wraparound
+                matrix = tuple(tuple(mass_mul(entry, wrap) for entry in row) for row in matrix)
+            arrow = Arrow(src, tgt, letter, matrix)
+            arrows.append(arrow)
+            twist_arrows[(letter, src)] = arrow
+
+    for kind in kinds:
+        for j in range(m):
+            fwd_src, fwd_tgt = (kind, j), (kind, (j + 1) % m)
+            if j + 1 < m:
+                fwd_matrix = bwd_matrix = identity_matrix(n)
+            elif n % 2:
+                fwd_matrix, bwd_matrix = scalar_matrix(n, 0, -2), scalar_matrix(n, 0, 2)
+            else:
+                fwd_matrix = scalar_matrix(n, n - 2, -1)
+                bwd_matrix = scalar_matrix(n, n - 2, 1)
+            fwd = Arrow(fwd_src, fwd_tgt, 1, fwd_matrix)
+            bwd = Arrow(fwd_tgt, fwd_src, -1, bwd_matrix)
+            arrows += [fwd, bwd]
+            gamma_arrows[(1, fwd_src)] = fwd
+            gamma_arrows[(-1, fwd_tgt)] = bwd
+
+    return MassAutomaton(n, vertices, tuple(arrows), twist_arrows, gamma_arrows)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from braiddyn.automaton import (
     Arrow,
     PathWitness,
-    _identity_matrix,
+    _arrow_matrix,
     _witness_start,
     build,
     joins,
@@ -32,6 +33,9 @@ from braiddyn.braidword import (
     twist_modulus,
 )
 from braiddyn.fusion import FusionVec, MassPoly, eval_mass, mass_mul
+from braiddyn.twistcalc import V1, V2, SemistableUnit, letter_support
+
+from automaton_oracle import build_by_wrap, identity_matrix, support_column
 
 SQ2 = math.sqrt(2)
 
@@ -126,7 +130,7 @@ def test_gamma_wraparound_scalars():
     assert wrap4.target == ("u", 0)
     assert wrap4.matrix[0][0] == MassPoly.from_dict(4, {-1: FusionVec.simple(4, 2)})
     # non-wraparound gammas are identities
-    assert auto5.gamma_arrows[(1, ("v", 0))].matrix == _identity_matrix(5)
+    assert auto5.gamma_arrows[(1, ("v", 0))].matrix == identity_matrix(5)
 
 
 # --- recognition ---------------------------------------------------------------
@@ -289,7 +293,7 @@ def test_joins_is_the_pair_rule():
 def test_identity_path_matrix():
     auto = build(5)
     witness = recognize(auto, NormalForm(5, (), 0))
-    assert path_matrix(auto, witness) == _identity_matrix(5)
+    assert path_matrix(auto, witness) == identity_matrix(5)
 
 
 def test_n4_fixture_product():
@@ -308,7 +312,7 @@ def test_zero_patterns():
     assert zero_pattern(up) == "upper"
     lo = ((mono(n, 0, 0), MassPoly.zero(n)), (mono(n, 1, 0), mono(n, 0, 0)))
     assert zero_pattern(lo) == "lower"
-    assert zero_pattern(_identity_matrix(n)) == "diagonal"
+    assert zero_pattern(identity_matrix(n)) == "diagonal"
     full = ((mono(n, 0, 0), mono(n, 0, 0)), (mono(n, 0, 0), mono(n, 0, 0)))
     assert zero_pattern(full) == "full"
     broken = ((MassPoly.zero(n), mono(n, 0, 0)), (mono(n, 0, 0), mono(n, 0, 0)))
@@ -317,7 +321,7 @@ def test_zero_patterns():
 
 
 def test_pf_eigenvalue_examples():
-    assert pf_eigenvalue(_identity_matrix(5), 0.37) == 1.0
+    assert pf_eigenvalue(identity_matrix(5), 0.37) == 1.0
     n = 4
     m = (
         (mono(n, 0, 0, 5), mono(n, 1, 0, 4)),
@@ -374,9 +378,8 @@ def test_conjugation_coherence_exact():
 
 def test_arrow_matrices_match_unit_level_supports():
     # independent recomputation: every arrow column must agree with the
-    # letter-support bookkeeping applied to the source basis units
-    from braiddyn.twistcalc import support_column
-
+    # letter-support bookkeeping applied to the source basis units, both
+    # through `_arrow_matrix` and piece by piece
     rng = random.Random(77)
     for n in (4, 5, 6, 7):
         auto = build(n)
@@ -385,13 +388,44 @@ def test_arrow_matrices_match_unit_level_supports():
         for letter, src in sample:
             arrow = auto.twist_arrows[(letter, src)]
             tgt_basis = auto.vertices[arrow.target].basis
-            for c, unit in enumerate(auto.vertices[src].basis):
+            units = auto.vertices[src].basis
+            columns = [letter_support(n, letter, unit) for unit in units]
+            assert _arrow_matrix(n, columns, tgt_basis) == arrow.matrix
+            for c, unit in enumerate(units):
                 col = support_column(n, letter, unit, tgt_basis)
                 assert (arrow.matrix[0][c], arrow.matrix[1][c]) == col, (
                     n,
                     letter.label(),
                     src,
                 )
+
+
+@pytest.mark.parametrize("n", [*range(3, 20), 32])
+def test_build_equals_base_and_wrap_oracle(n):
+    # arrow for arrow, in the same order, with the same lookup tables and dump
+    auto, want = build(n), build_by_wrap(n)
+    assert auto.vertices == want.vertices
+    assert auto.arrows == want.arrows
+    assert list(auto.twist_arrows.items()) == list(want.twist_arrows.items())
+    assert list(auto.gamma_arrows.items()) == list(want.gamma_arrows.items())
+    assert json.dumps(auto.to_json()) == json.dumps(want.to_json())
+
+
+def test_arrow_matrix_sums_pieces_on_one_entry():
+    # two pieces on the same row and level add coefficient rows; a piece
+    # outside the target basis is an error
+    n = 5
+    basis = (SemistableUnit(V1, 0), SemistableUnit(V2, 0))
+    columns = [
+        {SemistableUnit(V1, 0, 1, -1): 2, SemistableUnit(V1, 0, 3, -1): 1},
+        {SemistableUnit(V2, 0, 0, 2): 1},
+    ]
+    (a, b), (c, d) = _arrow_matrix(n, columns, basis)
+    assert a == MassPoly.from_rows(n, {-1: [0, 2, 0, 1]})
+    assert b.is_zero() and c.is_zero()
+    assert d == mono(n, 0, 2)
+    with pytest.raises(KeyError):
+        _arrow_matrix(n, [{SemistableUnit(V1, 1): 1}, {}], basis)
 
 
 def test_entries_nonnegative_at_sample_points():
@@ -437,7 +471,7 @@ def test_basepoint_independence():
         arrows = list(res.path.arrows)
         for r in range(1, len(arrows)):
             rotated = arrows[r:] + arrows[:r]
-            m = _identity_matrix(n)
+            m = identity_matrix(n)
             for a in rotated:
                 m = mat_mul(a.matrix, m)
             assert (m[0][0] + m[1][1]) == (base[0][0] + base[1][1])
@@ -541,7 +575,7 @@ TREE_NS = [3, 4, 5, 8, 16]
 
 def fold_path_matrix(n, arrows):
     """M(e_k) ... M(e_1) multiplied left to right with ``mat_mul``, the oracle."""
-    out = _identity_matrix(n)
+    out = identity_matrix(n)
     for arrow in arrows:
         out = mat_mul(arrow.matrix, out)
     return out

@@ -1,9 +1,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import braiddyn
 from braiddyn.cli import main
 
 
@@ -172,6 +177,48 @@ def test_computation_error_exit_code(capsys, argv, reason):
     assert len(err.strip().splitlines()) == 1
 
 
+WORD = ["--n", "5", "--word", "s1 s2^-1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", *WORD, "--t", "nan", "--json"],
+        ["classify", *WORD, "--t", "inf"],
+        ["classify", *WORD, "--t", "1e400", "--json"],
+        ["estimate", *WORD, "--t", "inf", "--json"],
+        ["estimate", *WORD, "--t=-inf"],
+        ["estimate", *WORD, "--t", "NaN", "--json"],
+        ["classify", *WORD, "--max-iter", "-1"],
+    ],
+)
+def test_non_finite_t_and_negative_max_iter_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "error: argument --" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", *WORD, "--t", "1e308", "--json"],
+        ["classify", *WORD, "--t", "1e308"],
+        ["estimate", *WORD, "--t", "1e308", "--json"],
+        ["estimate", *WORD, "--t", "1e308"],
+    ],
+)
+def test_non_finite_result_exit_code(capsys, argv):
+    # h_t at t = 1e308 is beyond the floats; no NaN or Infinity is printed
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and "not finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("n, word", [(3, "s1 s2 s1"), (3, "s2 s1 s2"), (5, "s1 s2 s1 s2 s2")])
 def test_estimate_odd_n_periodic_words(capsys, n, word):
     # periodic words whose square, not the word, has a closed path
@@ -233,3 +280,27 @@ def test_max_iter_exit_code(capsys):
     assert err == "error: conjugation used 3 rounds, above --max-iter 1\n"
     code, out, _ = run(capsys, ["classify", "--n", "4", "--word", word, "--max-iter", "3"])
     assert code == 0 and out.startswith("pseudo_anosov")
+    code, out, _ = run(capsys, ["classify", "--n", "4", "--word", word, "--max-iter", "0"])
+    assert code == 0 and out.startswith("pseudo_anosov")  # 0 means no guard
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--n", "4", "--word", word, "--max-iter", "-1"])
+    assert exc.value.code == 2
+    assert "--max-iter: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_automaton_dump_ignores_the_hash_seed(n):
+    # the dump is the same bytes under any PYTHONHASHSEED, v vertices first
+    src = str(Path(braiddyn.__file__).resolve().parent.parent)
+    code = f"import sys; from braiddyn.cli import main; sys.exit(main(['automaton', '--n', '{n}', '--json']))"
+    dumps = []
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, check=True
+        )
+        dumps.append(proc.stdout)
+    assert dumps[0] == dumps[1] == dumps[2]
+    kinds = [a["from"][0] for a in json.loads(dumps[0])["arrows"] if a["label"] == "gamma"]
+    assert kinds == sorted(kinds, key="vu".index)

@@ -86,6 +86,32 @@ def test_gamma_scales_mass_functions():
                 )
 
 
+def _gamma_step(n, u, direction):
+    """One gamma^{+-1} step, with the wraparound written out case by case."""
+    m = twist_modulus(n)
+    j = u.index + direction
+    if 0 <= j < m:
+        return SemistableUnit(u.family, j, u.label, u.level)
+    j %= m
+    if n % 2:
+        return SemistableUnit(u.family, j, u.label, u.level - 2 * direction)
+    return SemistableUnit(u.family, j, n - 2 - u.label, u.level - direction)
+
+
+def test_gamma_power_is_repeated_steps():
+    for n in range(3, 17):
+        m = twist_modulus(n)
+        for bare in all_units(n):
+            for label in range(n - 1):
+                u = SemistableUnit(bare.family, bare.index, label, label - 2)
+                assert gamma_on_unit(n, u, 0) == u
+                for direction in (1, -1):
+                    v = u
+                    for k in range(1, 3 * m + 1):
+                        v = _gamma_step(n, v, direction)
+                        assert gamma_on_unit(n, u, direction * k) == v, (n, u, direction * k)
+
+
 # --- twist_segment -----------------------------------------------------------
 
 
