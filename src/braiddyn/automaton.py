@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .braidword import NormalForm, TwistLetter, forbidden_source, joins, target_vertex, twist_modulus
-from .fusion import MassPoly, eval_mass, mass_dot, pf_dim, product_tree, sparse_entry
+from .fusion import MassPoly, eval_mass, pf_dim, product_tree, sparse_entry
 from .fusion import mass_mul  # noqa: F401  the bench tracer wraps automaton.mass_mul
 from .twistcalc import U, V1, V2, SemistableUnit, gamma_on_unit, letter_support
 
@@ -120,13 +120,6 @@ class PathWitness:
 
     def end(self) -> VertexId:
         return self.arrows[-1].target if self.arrows else self.start
-
-
-def mat_mul(a: MassMatrix, b: MassMatrix) -> MassMatrix:
-    return tuple(
-        tuple(mass_dot(((a[i][0], b[0][j]), (a[i][1], b[1][j]))) for j in range(2))
-        for i in range(2)
-    )
 
 
 @dataclass(frozen=True)
@@ -325,8 +318,7 @@ def path_matrix(auto: MassAutomaton, path: PathWitness) -> MassMatrix:
 
     The arrows' sparse matrices are multiplied in a balanced product tree
     (``fusion.product_tree``), and each of the four entries is built once,
-    through the checking ``MassPoly`` constructor.  ``mat_mul`` is the
-    left-to-right product the result must equal.
+    through the checking ``MassPoly`` constructor.
     """
     n = auto.n
     a, b, c, d = (

@@ -7,9 +7,10 @@ side).  Words compose right-to-left: the rightmost letter acts first.
 The Burau representation is kept exact: matrix entries are Laurent
 polynomials in q whose coefficients are signed integer combinations of
 the simple fusion classes (signs appear because -q times the class of
-Pi_1 shows up in the generator matrices).  Specialising q to -1
-and taking Perron-Frobenius dimensions of the coefficients recovers the
-reflection representation of the dihedral group.
+Pi_1 shows up in the generator matrices); ``fusion.product_tree``
+multiplies them, and ``burau_equal`` compares canonical entries.
+Specialising q to -1 and taking Perron-Frobenius dimensions of the
+coefficients recovers the reflection representation of the dihedral group.
 
 Rewriting into automaton normal form uses the extended alphabet of twist
 letters sigma_{gamma^j P_i} together with gamma = s2 s1.  The only
@@ -33,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fusion import _laurent_dot, delta_value, product_tree, sparse_entry
+from .fusion import delta_value, product_tree, sparse_entry
 
 __all__ = [
     "MAX_WORD_LETTERS",
@@ -207,16 +208,26 @@ def parse_word(text: str, n: int) -> BraidWord:
 # signed Laurent arithmetic in q
 
 
-def _svec_add(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 @dataclass(frozen=True)
 class QLaurent:
-    """Laurent polynomial in q; coefficients are signed class combinations."""
+    """Laurent polynomial in q; coefficients are signed class combinations.
+
+    The constructor checks that the terms are canonical (sorted, distinct
+    exponents, nonzero tuples of n - 1 ints), so equal means equal terms.
+    """
 
     n: int
     terms: tuple[tuple[int, tuple[int, ...]], ...]  # (exponent, signed vector)
+
+    def __post_init__(self):
+        exps = [e for e, _ in self.terms]
+        if exps != sorted(exps) or len(set(exps)) != len(exps):
+            raise ValueError("terms must be sorted by exponent and distinct")
+        for _, vec in self.terms:
+            if not isinstance(vec, tuple) or len(vec) != self.n - 1:
+                raise ValueError(f"expected a tuple of {self.n - 1} coefficients for n={self.n}")
+            if not any(vec):
+                raise ValueError("zero coefficient must not be stored")
 
     @classmethod
     def zero(cls, n: int) -> QLaurent:
@@ -240,15 +251,6 @@ class QLaurent:
     def scalar(cls, n: int, value: int) -> QLaurent:
         return cls.term(n, 0, (value,) + (0,) * (n - 2))
 
-    def __add__(self, other: QLaurent) -> QLaurent:
-        acc = {e: v for e, v in self.terms}
-        for e, v in other.terms:
-            acc[e] = _svec_add(acc[e], v) if e in acc else v
-        return QLaurent.from_dict(self.n, acc)
-
-    def __mul__(self, other: QLaurent) -> QLaurent:
-        return QLaurent.from_rows(self.n, _laurent_dot(self.n, [(self.terms, other.terms)]))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -266,20 +268,6 @@ class QLaurent:
 
 
 BurauMatrix = tuple[tuple[QLaurent, QLaurent], tuple[QLaurent, QLaurent]]
-
-
-def _mat_mul(a: BurauMatrix, b: BurauMatrix) -> BurauMatrix:
-    n = a[0][0].n
-    return tuple(
-        tuple(
-            QLaurent.from_rows(
-                n,
-                _laurent_dot(n, ((a[i][0].terms, b[0][j].terms), (a[i][1].terms, b[1][j].terms))),
-            )
-            for j in range(2)
-        )
-        for i in range(2)
-    )
 
 
 def _burau_generators(n: int) -> dict[tuple[int, int], BurauMatrix]:
@@ -312,8 +300,7 @@ def burau(w: BraidWord) -> BurauMatrix:
 
     The generator matrices are multiplied in a balanced product tree
     (``fusion.product_tree``) and each entry is built once, through
-    ``QLaurent.from_rows``; ``_mat_mul`` is the left-to-right product the
-    result must equal.
+    ``QLaurent.from_rows``.
     """
     gens = _sparse_generators(w.n)
     a, b, c, d = (
@@ -324,8 +311,8 @@ def burau(w: BraidWord) -> BurauMatrix:
 
 
 def burau_equal(a: BurauMatrix, b: BurauMatrix) -> bool:
-    return all((a[i][j] + (b[i][j] * QLaurent.scalar(a[i][j].n, -1))).is_zero()
-               for i in range(2) for j in range(2))
+    """Exact equality: ``QLaurent`` terms are canonical, so entries compare as terms."""
+    return a == b
 
 
 def coxeter_matrix(w: BraidWord) -> np.ndarray:

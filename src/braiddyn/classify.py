@@ -352,10 +352,8 @@ def _estimate(res: ClassificationResult, N: int, t: float) -> float:
     n = res.n
     auto = _automaton(n)
     power = 1  # the iterated word is out(beta)^power
-    if res.path is not None:
-        nf, witness = res.normal_form, res.path
-    else:
-        nf = to_normal_form(res.out_beta)
+    nf, witness = res.normal_form, res.path
+    if witness is None:
         if nf.blocks:
             # one twist letter that cannot follow itself: out(beta) has no
             # closed path, but its square gamma^(2s+1) has one

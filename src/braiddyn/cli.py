@@ -8,8 +8,9 @@ stdin line and reports in input order.  An exponent is an optional minus
 sign followed by ASCII digits; ``s1^+2``, ``s2^1_0`` and digits of other
 scripts are syntax errors.
 
-``--t`` takes a finite real and ``--max-iter`` an integer >= 0 (0 means
-no guard); anything else, such as ``--t nan``, ``--t inf`` or
+``--t`` takes a finite real, also a negative one in exponent notation
+(``--t -2e3`` is ``--t=-2e3``), and ``--max-iter`` an integer >= 0 (0
+means no guard); anything else, such as ``--t nan``, ``--t inf`` or
 ``--max-iter -1``, is a usage error.
 
 Exit codes: 0 success, 2 word syntax error (message carries the byte
@@ -94,7 +95,10 @@ def _classification_report(res: ClassificationResult) -> dict:
             ],
             "gamma_exp": res.normal_form.gamma_exp,
             "text": res.normal_form.text(),
-            "word": res.normal_form.to_word().text(),
+            # out_beta spells the normal form unless the verdict is reducible
+            "word": (
+                res.normal_form.to_word() if res.braid_type == "reducible" else res.out_beta
+            ).text(),
         },
         "out": res.out_beta.text(),
         "conjugator": res.conjugator.text(),
@@ -264,8 +268,24 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_t(argv: list[str]) -> list[str]:
+    r"""Spell ``--t -2e3`` as ``--t=-2e3``.
+
+    argparse reads a token that starts with "-" as a value only if it
+    matches ``-\d+`` or ``-\d*\.\d+``, so a negative real in exponent
+    notation would be taken for an option.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--t" and token.startswith("-") and not token.startswith("--"):
+            out[-1] = f"--t={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_glue_negative_t(sys.argv[1:] if argv is None else argv))
     if args.n < 3:
         print(f"invalid n={args.n}: need n >= 3", file=sys.stderr)
         return 3

@@ -22,7 +22,7 @@ Every exact product in the package runs through one kernel.  The
 structure constants are multiplicity free, so ``_fusion_table(n)[a][b]``
 lists the labels c with [Pi_a] [Pi_b] containing [Pi_c], computed once
 per n.  ``_fuse_into`` adds the product of two coefficient rows into a
-plain list of ints, and ``_laurent_dot`` accumulates a sum of Laurent
+plain list of ints, and ``_sparse_dot`` accumulates a sum of Laurent
 products x_1 y_1 + x_2 y_2 + ... into exponent -> row, so a 2x2 matrix
 entry a b + c d is one call.  Intermediate products are plain rows;
 results become ``FusionVec``/``MassPoly`` objects through their checking
@@ -54,7 +54,6 @@ __all__ = [
     "fuse",
     "pf_dim",
     "ring_mul",
-    "mass_dot",
     "product_tree",
     "sparse_entry",
     "mass_mul",
@@ -217,20 +216,10 @@ def _sparse_dot(n: int, table, pairs) -> dict[int, list[int]]:
     return acc
 
 
-def _laurent_dot(n: int, pairs) -> dict[int, list[int]]:
-    """``_sparse_dot`` for terms with dense rows (exponent, coefficient row).
-
-    Rows that cancel to zero are kept; the caller's constructor drops them.
-    """
-    return _sparse_dot(
-        n, _fusion_table(n), [(sparse_entry(x), sparse_entry(y)) for x, y in pairs]
-    )
-
-
 SparseMatrix = tuple  # (a, b, c, d) of [[a, b], [c, d]], each a sequence of sparse terms
 
 
-def _sparse_mat_mul(n: int, table, x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
+def _sparse_matrix_mul(n: int, table, x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
     a, b, c, d = x
     p, q, r, s = y
     return tuple(
@@ -255,7 +244,7 @@ def product_tree(n: int, mats: Sequence[SparseMatrix]) -> tuple[dict[int, list[i
     level = list(mats) or [(((0, ((0, 1),)),), (), (), ((0, ((0, 1),)),))]
     while len(level) > 1:
         paired = [
-            _sparse_mat_mul(n, table, level[i], level[i + 1])
+            _sparse_matrix_mul(n, table, level[i], level[i + 1])
             for i in range(0, len(level) - 1, 2)
         ]
         level = paired + level[len(paired) * 2 :]
@@ -387,21 +376,12 @@ class MassPoly:
         )
 
 
-def _rows(p: MassPoly) -> list[tuple[int, tuple[int, ...]]]:
-    return [(e, v.coeffs) for e, v in p.terms]
-
-
-def mass_dot(pairs: Sequence[tuple[MassPoly, MassPoly]]) -> MassPoly:
-    """p_1 q_1 + p_2 q_2 + ... over a nonempty sequence of (p, q) pairs, in one accumulation."""
-    n = pairs[0][0].n
-    if any(p.n != n or q.n != n for p, q in pairs):
-        raise ValueError("mismatched fusion parameters")
-    return MassPoly.from_rows(n, _laurent_dot(n, [(_rows(p), _rows(q)) for p, q in pairs]))
-
-
 def mass_mul(p: MassPoly, q: MassPoly) -> MassPoly:
     """Product of mass polynomials; exponents add, coefficients fuse."""
-    return mass_dot(((p, q),))
+    if p.n != q.n:
+        raise ValueError("mismatched fusion parameters")
+    x, y = (sparse_entry((e, v.coeffs) for e, v in r.terms) for r in (p, q))
+    return MassPoly.from_rows(p.n, _sparse_dot(p.n, _fusion_table(p.n), [(x, y)]))
 
 
 def eval_mass(p: MassPoly, t: float) -> float:

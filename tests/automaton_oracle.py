@@ -1,4 +1,4 @@
-"""The base-and-wrap construction of the mass automaton, kept as an oracle.
+"""Oracles for the mass automaton: the base-and-wrap construction and ``mat_mul``.
 
 ``automaton.build`` reads every arrow off the unit action.  This module
 builds the same automaton the earlier way: only the base letters
@@ -6,6 +6,10 @@ twist1[0] (and twist2[0] for even n) are read from the support tables,
 piece by piece; every other twist arrow is the gamma-conjugate of a base
 arrow, times one central monomial when the pull-back crosses the index
 wraparound; and the gamma arrows are written down by hand.
+
+``automaton.path_matrix`` multiplies in a balanced product tree;
+``mat_mul`` is the plain 2x2 product, entry by entry, that a
+left-to-right fold of a path must agree with.
 """
 
 from __future__ import annotations
@@ -14,6 +18,14 @@ from braiddyn.automaton import Arrow, MassAutomaton, MassMatrix, Vertex, _vertex
 from braiddyn.braidword import TwistLetter, forbidden_source, target_vertex, twist_modulus
 from braiddyn.fusion import FusionVec, MassPoly, mass_mul
 from braiddyn.twistcalc import SemistableUnit, letter_support
+
+
+def mat_mul(a: MassMatrix, b: MassMatrix) -> MassMatrix:
+    """The 2x2 product a b, entry by entry: the left-to-right reference for path products."""
+    return tuple(
+        tuple(mass_mul(a[i][0], b[0][j]) + mass_mul(a[i][1], b[1][j]) for j in range(2))
+        for i in range(2)
+    )
 
 
 def identity_matrix(n: int) -> MassMatrix:

@@ -14,7 +14,6 @@ from braiddyn.automaton import (
     build,
     joins,
     log_pf,
-    mat_mul,
     path_matrix,
     path_zero_pattern,
     pf_eigenvalue,
@@ -35,7 +34,7 @@ from braiddyn.braidword import (
 from braiddyn.fusion import FusionVec, MassPoly, eval_mass, mass_mul
 from braiddyn.twistcalc import V1, V2, SemistableUnit, letter_support
 
-from automaton_oracle import build_by_wrap, identity_matrix, support_column
+from automaton_oracle import build_by_wrap, identity_matrix, mat_mul, support_column
 
 SQ2 = math.sqrt(2)
 

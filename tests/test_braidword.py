@@ -12,7 +12,6 @@ from braiddyn.braidword import (
     TwistLetter,
     WordSyntaxError,
     _burau_generators,
-    _mat_mul,
     burau,
     burau_equal,
     coxeter_matrix,
@@ -24,6 +23,7 @@ from braiddyn.braidword import (
     to_normal_form,
     twist_modulus,
 )
+from braiddyn.fusion import product_tree, sparse_entry
 from test_fusion import oracle_laurent_dot
 
 
@@ -178,6 +178,20 @@ def test_braid_relation_symbolically():
         assert burau_equal(burau(BraidWord(n, tuple(left))), burau(BraidWord(n, tuple(right))))
 
 
+def burau_mat_mul(a, b):
+    """The 2x2 product a b, each entry from ``oracle_laurent_dot``; it shares no code with the kernel."""
+    n = a[0][0].n
+    return tuple(
+        tuple(
+            QLaurent.from_dict(
+                n, oracle_laurent_dot(n, [(dict(a[i][k].terms), dict(b[k][j].terms)) for k in range(2)])
+            )
+            for j in range(2)
+        )
+        for i in range(2)
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_burau_is_a_homomorphism(data):
@@ -185,18 +199,16 @@ def test_burau_is_a_homomorphism(data):
     letters = st.tuples(st.sampled_from((1, 2)), st.sampled_from((1, -1)))
     u = BraidWord(n, tuple(data.draw(st.lists(letters, max_size=6))))
     v = BraidWord(n, tuple(data.draw(st.lists(letters, max_size=6))))
-    from braiddyn.braidword import _mat_mul
-
-    assert burau_equal(burau(u * v), _mat_mul(burau(u), burau(v)))
+    assert burau_equal(burau(u * v), burau_mat_mul(burau(u), burau(v)))
 
 
 def fold_burau(w):
-    """The generator matrices multiplied left to right with ``_mat_mul``, the oracle."""
+    """The generator matrices multiplied left to right with ``burau_mat_mul``, the oracle."""
     zero, one = QLaurent.zero(w.n), QLaurent.scalar(w.n, 1)
     out = ((one, zero), (zero, one))
     gens = _burau_generators(w.n)
     for letter in w.letters:
-        out = _mat_mul(out, gens[letter])
+        out = burau_mat_mul(out, gens[letter])
     return out
 
 
@@ -220,7 +232,7 @@ def test_burau_of_a_generator_power_closed_form(k):
 def test_burau_of_a_long_word_is_the_product_of_its_halves():
     n = 5
     long_power, tail = BraidWord(n, ((1, 1),) * 2000), BraidWord(n, ((2, -1),) * 3)
-    assert burau(long_power * tail) == _mat_mul(burau(long_power), burau(tail))
+    assert burau(long_power * tail) == burau_mat_mul(burau(long_power), burau(tail))
 
 
 # --- Coxeter specialisation and roots ----------------------------------------
@@ -368,16 +380,53 @@ def signed_laurent(draw, n):
     return QLaurent.from_dict(n, terms)
 
 
+def product_entry(n, x, y):
+    """Entry (0, 0) of the product_tree of two signed 2x2 matrices, as a QLaurent."""
+    sparse = [tuple(sparse_entry(p.terms) for p in mat) for mat in (x, y)]
+    return QLaurent.from_rows(n, product_tree(n, sparse)[0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_qlaurent_products_match_oracle(data):
-    from braiddyn.braidword import _mat_mul
-
     n = data.draw(st.integers(3, 12))
     a, b, c, d = (data.draw(signed_laurent(n)) for _ in range(4))
-    assert dict((a * b).terms) == oracle_laurent_dot(n, [(dict(a.terms), dict(b.terms))])
     zero = QLaurent.zero(n)
-    (entry, _), _ = _mat_mul(((a, c), (zero, zero)), ((b, zero), (d, zero)))
+    ab = product_entry(n, (a, zero, zero, zero), (b, zero, zero, zero))
+    assert dict(ab.terms) == oracle_laurent_dot(n, [(dict(a.terms), dict(b.terms))])
+    # one entry of a 2x2 product is the fused a*b + c*d; signed rows may cancel
+    entry = product_entry(n, (a, c, zero, zero), (b, zero, d, zero))
     assert dict(entry.terms) == oracle_laurent_dot(
         n, [(dict(a.terms), dict(b.terms)), (dict(c.terms), dict(d.terms))]
     )
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        (((1, (1, 0, 0, 0)), (0, (1, 0, 0, 0))), "sorted"),
+        (((0, (1, 0, 0, 0)), (0, (0, 1, 0, 0))), "distinct"),
+        (((0, (1, 0, 0)),), "4 coefficients"),
+        (((0, [1, 0, 0, 0]),), "tuple"),
+        (((0, (0, 0, 0, 0)),), "zero coefficient"),
+    ],
+)
+def test_qlaurent_rejects_non_canonical_terms(terms, message):
+    with pytest.raises(ValueError, match=message):
+        QLaurent(5, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_burau_equal_is_equality_of_the_polynomials(data):
+    # canonical terms make term equality the same as a - b == 0, computed by the oracle
+    n = data.draw(st.integers(3, 8))
+    x = [data.draw(signed_laurent(n)) for _ in range(4)]
+    y = list(x) if data.draw(st.booleans()) else [data.draw(signed_laurent(n)) for _ in range(4)]
+    minus_one = {0: (-1,) + (0,) * (n - 2)}
+    difference_is_zero = all(
+        not oracle_laurent_dot(n, [(dict(p.terms), {0: (1,) + (0,) * (n - 2)}), (dict(q.terms), minus_one)])
+        for p, q in zip(x, y)
+    )
+    got = burau_equal(((x[0], x[1]), (x[2], x[3])), ((y[0], y[1]), (y[2], y[3])))
+    assert got == difference_is_zero

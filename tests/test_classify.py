@@ -512,6 +512,22 @@ def test_estimator_on_odd_n_periodic_words():
     assert squares > 10
 
 
+def test_estimator_reuses_the_normal_form(monkeypatch):
+    # a periodic word without a path is iterated from res.normal_form,
+    # which is what normalising out(beta) again would give
+    import sys
+
+    cl = sys.modules["braiddyn.classify"]  # the package attribute is the function
+
+    words = [(3, "s2 s1 s2"), (5, "s1 s2 s1 s2 s2"), (4, "s1 s2"), (5, "")]
+    results = [classify(n, parse_word(w, n)) for n, w in words]
+    for res in results:
+        assert res.path is None and to_normal_form(res.out_beta) == res.normal_form
+    monkeypatch.setattr(cl, "to_normal_form", None)
+    for res in results:
+        assert cl._estimate(res, 8, 0.5) == pytest.approx(res.growth.evaluate(0.5), abs=1e-9)
+
+
 def test_estimator_rejects_tiny_n_steps():
     with pytest.raises(ValueError):
         estimate_growth(5, parse_word("s1", 5), N=1)

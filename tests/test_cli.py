@@ -201,6 +201,44 @@ def test_non_finite_t_and_negative_max_iter_are_usage_errors(capsys, argv):
     assert "error: argument --" in err
 
 
+@pytest.mark.parametrize("command", ["classify", "estimate"])
+@pytest.mark.parametrize("t", ["-2e3", "-1e2", "-1E+2", "-.5", "-2"])
+def test_negative_t_in_exponent_notation(capsys, command, t):
+    # "--t -2e3" and "--t=-2e3" print the same bytes and exit 0
+    spaced = run(capsys, [command, *WORD, "--t", t, "--json"])
+    glued = run(capsys, [command, *WORD, f"--t={t}", "--json"])
+    assert spaced == glued
+    assert spaced[0] == 0 and json.loads(spaced[1])["t"] == float(t)
+
+
+@pytest.mark.parametrize("t", ["-inf", "-nan", "-1e400"])
+def test_negative_non_finite_t_is_a_usage_error(capsys, t):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", *WORD, "--t", t])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "error: argument --t: expected a finite real" in err
+
+
+@pytest.mark.parametrize(
+    "word, verdict",
+    [("s1 s1 s2 s2", "pseudo_anosov"), ("s1 s2", "periodic"), ("s1^3", "reducible"), ("", "periodic")],
+)
+def test_classify_report_spells_the_normal_form_once(capsys, monkeypatch, word, verdict):
+    # classify spells out_beta from the normal form; the report reuses it
+    # for periodic and pseudo-Anosov verdicts and spells it only when reducible
+    import braiddyn.braidword as bw
+
+    calls = []
+    real = bw.NormalForm.to_word
+    monkeypatch.setattr(bw.NormalForm, "to_word", lambda nf: calls.append(nf) or real(nf))
+    code, out, _ = run(capsys, ["classify", "--n", "5", "--word", word, "--json"])
+    report = json.loads(out)
+    assert code == 0 and report["type"] == verdict
+    assert len(calls) == 1
+    assert report["normal_form"]["word"] == real(calls[0]).text()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,7 +4,6 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braiddyn.automaton import mat_mul
 from braiddyn.fusion import (
     FusionVec,
     MassPoly,
@@ -12,10 +11,11 @@ from braiddyn.fusion import (
     delta_value,
     eval_mass,
     fuse,
-    mass_dot,
     mass_mul,
     pf_dim,
+    product_tree,
     ring_mul,
+    sparse_entry,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -314,11 +314,13 @@ def test_mass_mul_and_fused_entry_match_oracle(data):
     a, b, c, d = (data.draw(mass_poly(n)) for _ in range(4))
     assert as_dict(mass_mul(a, b)) == oracle_laurent_dot(n, [(as_dict(a), as_dict(b))])
     want = oracle_laurent_dot(n, [(as_dict(a), as_dict(b)), (as_dict(c), as_dict(d))])
-    assert as_dict(mass_dot([(a, b), (c, d)])) == want
-    # one entry of a 2x2 product is the fused a*b + c*d
+    # one entry of a 2x2 product is the fused a*b + c*d, in one accumulation
     zero = MassPoly.zero(n)
-    (entry, _), _ = mat_mul(((a, c), (zero, zero)), ((b, zero), (d, zero)))
-    assert as_dict(entry) == want
+    x, y = (
+        tuple(sparse_entry((e, v.coeffs) for e, v in p.terms) for p in mat)
+        for mat in ((a, c, zero, zero), (b, zero, d, zero))
+    )
+    assert as_dict(MassPoly.from_rows(n, product_tree(n, [x, y])[0])) == want
 
 
 def test_negative_coefficient_from_a_product_is_rejected():
@@ -334,5 +336,3 @@ def test_negative_coefficient_from_a_product_is_rejected():
     object.__setattr__(planted, "terms", ((1, bad),))
     with pytest.raises(ValueError, match="nonnegative"):
         mass_mul(planted, MassPoly.monomial(5, 2, -1))
-    with pytest.raises(ValueError, match="nonnegative"):
-        mass_dot([(MassPoly.one(5), MassPoly.one(5)), (planted, MassPoly.monomial(5, 1))])

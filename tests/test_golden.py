@@ -1,0 +1,100 @@
+"""Golden digests of the exact CLI output on a fixed seeded batch.
+
+Each digest is the sha256 of the exit code and stdout of one in-process
+CLI call: ``classify --json`` and ``burau --json`` on a batch of random
+words per n (read from stdin with ``--word -``), and ``automaton --json``
+for n = 3..8.  ``classify`` drops its float fields (``h0``, ``t``,
+``h_at_t``, ``matrix_at_0``), whose last digits may depend on the
+platform's libm; everything left is exact.  A change to any exact field,
+its order, or the output's dependence on ``PYTHONHASHSEED`` shows up as
+a changed digest.
+
+Run this module as a script to print the digests of the current code.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+
+import pytest
+
+from braiddyn.cli import main
+
+WORDS_PER_N = 24
+FLOAT_FIELDS = ("h0", "t", "h_at_t", "matrix_at_0")
+
+GOLDEN = {
+    "classify n=3": "88abef51fec42b7a4d07ce6ba007ac02da457681cb7cf5ed4d18e9d06f27610c",
+    "classify n=4": "85b909dd87bbcd162b13968a18caf6c8e7d1c5b778411030b7467de5f6d10d38",
+    "classify n=5": "bb32d009cce1803568e2e493c4a4f04b9e3c0e6ad0d69a8d2159dcf8b55d02ad",
+    "classify n=8": "0696291aba08132204d66c454707c32a88e0ade8b26ca8281ad3bf4fa4532efc",
+    "classify n=16": "67450fe1dc9af4ba5ce21b520efde8699c22f1bd2798281942571c03bf3a09a1",
+    "burau n=3": "1f57ad0a90a8d8508229239a4006e2fe9a12872285e99bb7bdcb26dfcde51f92",
+    "burau n=4": "cfe687d3c082c09df300db53a0f06f3a657ddd3d088d13d1f57a82d951a8dcc0",
+    "burau n=5": "a6e67a437df94a895f3f32151027b8a5beabf9b71bb6d9f399bcfeabfae4cc42",
+    "burau n=8": "c8a950e16be6ec9363a7b93c0a51539dbe9c5d213c71b6714b6f2a049302f012",
+    "burau n=16": "b70e4693d01405d5d3cdea505c794c81ad0ea1b2cef056e542b41bdd968a6bcf",
+    "automaton n=3": "8538c4e95be92bb60e79ae3c9aed78d65745aa16dc451e7c5a0434855c8afbd6",
+    "automaton n=4": "72187152ec90ba2a5de7f7f6d861e079459b03a216fac70a814c4f8b3c3a33ad",
+    "automaton n=5": "51bf535dc974e31f5ba3410a130af6b847b382e2fc37efcbb67ef504951e0dbb",
+    "automaton n=6": "55611e657dbaa1f03259989a8852f881044944d0753596b64e631cde1cc466f6",
+    "automaton n=7": "ca2d093c1d3a93125fbcb7b8fd51eeeaabbe492f413c9beca209858185dfce76",
+    "automaton n=8": "c7f8966b73d08893f0f228dfe2ff4c9e5fa391e46540b967580b29efcb3f5369",
+}
+
+
+def batch(n: int) -> list[str]:
+    """The seeded random words for n: 1 to 16 tokens, exponents in [-3, 3] minus 0."""
+    rng = random.Random(1000 + n)
+    words = []
+    for _ in range(WORDS_PER_N):
+        tokens = []
+        for _ in range(rng.randint(1, 16)):
+            k = rng.choice((-3, -2, -1, 1, 2, 3))
+            tokens.append(f"s{rng.choice((1, 2))}" + ("" if k == 1 else f"^{k}"))
+        words.append(" ".join(tokens))
+    return words
+
+
+def run_cli(argv: list[str], stdin: str = "") -> tuple[int, str]:
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+def exact_classify_line(line: str) -> str:
+    report = json.loads(line)
+    for key in FLOAT_FIELDS:
+        report.pop(key, None)
+    return json.dumps(report)
+
+
+def output_digest(name: str) -> str:
+    command, n = name.split(" n=")
+    if command == "automaton":
+        code, out = run_cli(["automaton", "--n", n, "--json"])
+    else:
+        words = "".join(f"{w}\n" for w in batch(int(n)))
+        code, out = run_cli([command, "--n", n, "--word", "-", "--json"], words)
+        if command == "classify":
+            out = "".join(exact_classify_line(line) + "\n" for line in out.splitlines())
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_exact_output_is_unchanged(name):
+    assert output_digest(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for key in GOLDEN:
+        print(f'    "{key}": "{output_digest(key)}",')
