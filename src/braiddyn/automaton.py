@@ -45,7 +45,15 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .braidword import NormalForm, TwistLetter, forbidden_source, joins, target_vertex, twist_modulus
+from .braidword import (
+    NormalForm,
+    TwistLetter,
+    check_n,
+    forbidden_source,
+    joins,
+    target_vertex,
+    twist_modulus,
+)
 from .fusion import MassPoly, eval_mass, pf_dim, product_tree, sparse_entry
 from .fusion import mass_mul  # noqa: F401  the bench tracer wraps automaton.mass_mul
 from .twistcalc import U, V1, V2, SemistableUnit, gamma_on_unit, letter_support
@@ -190,9 +198,11 @@ def _arrow_matrix(
 
 
 def build(n: int) -> MassAutomaton:
-    """Construct the full automaton; matrices are precomputed on arrows."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got n={n}")
+    """Construct the full automaton; matrices are precomputed on arrows.
+
+    Raises ValueError for n outside 3..``braidword.MAX_N``.
+    """
+    check_n(n)
     m = twist_modulus(n)
     kinds = ("v",) if n % 2 else ("v", "u")
     ids = [(kind, j) for kind in kinds for j in range(m)]

@@ -37,6 +37,7 @@ import numpy as np
 from .fusion import delta_value, product_tree, sparse_entry
 
 __all__ = [
+    "MAX_N",
     "MAX_WORD_LETTERS",
     "BraidWord",
     "BurauMatrix",
@@ -46,6 +47,7 @@ __all__ = [
     "WordSyntaxError",
     "burau",
     "burau_equal",
+    "check_n",
     "coxeter_matrix",
     "forbidden_source",
     "gamma_letters",
@@ -157,6 +159,19 @@ def _free_reduce(letters: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int],
 
 MAX_WORD_LETTERS = 1_000_000  # cap on a parsed word's length, before free reduction
 
+# Cap on n for parsed words and built automata.  ``automaton.build(n)``
+# makes Theta(n^2) arrows whose entries hold up to n-1 labels, and its
+# fusion table lists Theta(n^2) label pairs of up to n summands: on one
+# Intel Xeon core, build(128) takes 3.3 s and 135 MB, build(256) 20 s and
+# 724 MB, and n = 100000 runs out of memory.
+MAX_N = 128
+
+
+def check_n(n: int) -> None:
+    """Raise ValueError unless 3 <= n <= ``MAX_N``."""
+    if not 3 <= n <= MAX_N:
+        raise ValueError(f"need 3 <= n <= {MAX_N}, got n={n}")
+
 
 _EXPONENT = re.compile(r"-?[0-9]+")  # ASCII digits only: no "+", "_" or other scripts
 
@@ -167,10 +182,9 @@ def parse_word(text: str, n: int) -> BraidWord:
     An exponent k is an optional minus sign followed by ASCII digits, and
     not zero.  Raises :class:`WordSyntaxError` with the byte offset of the
     offending token, also of the token that takes the word past
-    ``MAX_WORD_LETTERS`` letters, and ValueError for n < 3.
+    ``MAX_WORD_LETTERS`` letters, and ValueError for n outside 3..``MAX_N``.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got n={n}")
+    check_n(n)
     letters: list[tuple[int, int]] = []
     pos = 0
     raw = text.encode()

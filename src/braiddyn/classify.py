@@ -38,12 +38,16 @@ t = 0.  `estimate_growth` is an independent estimator that never forms
 matrix products: it pushes the start vertex's basis units through the
 letter sequence with the unit-level support tables and returns a ratio
 of masses, taken as a difference of log masses so that it stays finite
-at large |t|.
+at large |t|.  It is a power iteration on units folded by level: the
+support is keyed by (family, index, label), at most 3 m (n-1) keys, with
+one log weight per key, so each twist letter costs at most that many
+table reads per step, and gamma^s is one closed-form move of each key.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -59,7 +63,14 @@ from .braidword import (
     to_normal_form,
     twist_modulus,
 )
-from .twistcalc import SemistableUnit, gamma_on_unit, letter_support, log_support_mass
+from .twistcalc import (
+    FoldedKey,
+    SemistableUnit,
+    _log_sum_exp,
+    gamma_on_unit,
+    letter_support,
+    log_support_mass,
+)
 from .twistcalc import support_mass  # noqa: F401  the bench tracer wraps classify.support_mass
 
 __all__ = [
@@ -346,7 +357,18 @@ def estimate_growth(n: int, w: BraidWord, N: int = 24, t: float = 0.0) -> float:
 
 
 def _estimate(res: ClassificationResult, N: int, t: float) -> float:
-    """``estimate_growth`` for a word already classified as ``res``."""
+    """``estimate_growth`` for a word already classified as ``res``.
+
+    A power iteration on level-folded units.  The support of a unit at
+    level c is its level-0 support shifted by c, and so is its image
+    under gamma^e; at a fixed t a level-c unit therefore weighs e^(c t)
+    times its level-0 copy.  The support is keyed by (family, index,
+    label), at most 3 m (n-1) keys however many steps are taken, and
+    holds one log weight per key, summed by a log-sum-exp per key and
+    letter.  Each letter is read once per live key, at level 0, through
+    ``letter_support``; gamma^s moves every key in one closed-form
+    ``gamma_on_unit`` step.
+    """
     if N < 2:
         raise ValueError("need at least two iterations")
     n = res.n
@@ -362,32 +384,50 @@ def _estimate(res: ClassificationResult, N: int, t: float) -> float:
         witness = am.recognize(auto, nf, require_closed=True)
         if witness is None:
             raise ValueError("word has no recognised expression to iterate")
-    letters = nf.letters_applied()
-    support: dict[SemistableUnit, int] = {
-        unit: 1 for unit in auto.vertices[witness.start].basis
+    support: dict[FoldedKey, float] = {
+        (unit.family, unit.index, unit.label): 0.0
+        for unit in auto.vertices[witness.start].basis
     }
     # masses are kept as logs: e^(level t) overflows a float at large |t|
     log_masses = [log_support_mass(n, support, t)]
     for _ in range(N):
-        for letter in letters:
-            new: dict[SemistableUnit, int] = {}
-            if isinstance(letter, int):
-                for unit, weight in support.items():
-                    moved = gamma_on_unit(n, unit, letter)
-                    new[moved] = new.get(moved, 0) + weight
-            else:
-                for unit, weight in support.items():
-                    try:
-                        pieces = letter_support(n, letter, unit)
-                    except LookupError as exc:
-                        # a guard: the iterated path is closed or has no
-                        # twist letter, so no repetition meets a forbidden pair
-                        raise ValueError(
-                            "support propagation left the recognised region; "
-                            "the word cannot be iterated"
-                        ) from exc
-                    for piece, mult in pieces.items():
-                        new[piece] = new.get(piece, 0) + weight * mult
-            support = new
+        if nf.gamma_exp:
+            support = _gamma_step(n, nf.gamma_exp, support, t)
+        for letter, mult in nf.blocks:
+            for _ in range(mult):
+                support = _letter_step(n, letter, support, t)
         log_masses.append(log_support_mass(n, support, t))
     return (log_masses[N] - log_masses[N - 1]) / power
+
+
+def _gamma_step(
+    n: int, e: int, support: dict[FoldedKey, float], t: float
+) -> dict[FoldedKey, float]:
+    """gamma^e on a folded support; gamma permutes the keys."""
+    out: dict[FoldedKey, float] = {}
+    for key, log_weight in support.items():
+        moved = gamma_on_unit(n, SemistableUnit(*key), e)
+        out[moved.family, moved.index, moved.label] = log_weight + moved.level * t
+    return out
+
+
+def _letter_step(
+    n: int, letter: TwistLetter, support: dict[FoldedKey, float], t: float
+) -> dict[FoldedKey, float]:
+    """One twist letter on a folded support."""
+    terms: dict[FoldedKey, list[float]] = {}
+    for key, log_weight in support.items():
+        try:
+            pieces = letter_support(n, letter, SemistableUnit(*key))
+        except LookupError as exc:
+            # a guard: the iterated path is closed or has no twist letter,
+            # so no repetition meets a forbidden pair
+            raise ValueError(
+                "support propagation left the recognised region; "
+                "the word cannot be iterated"
+            ) from exc
+        for piece, mult in pieces.items():
+            terms.setdefault((piece.family, piece.index, piece.label), []).append(
+                log_weight + piece.level * t + math.log(mult)
+            )
+    return {key: _log_sum_exp(logs) for key, logs in terms.items()}

@@ -11,18 +11,25 @@ scripts are syntax errors.
 ``--t`` takes a finite real, also a negative one in exponent notation
 (``--t -2e3`` is ``--t=-2e3``), and ``--max-iter`` an integer >= 0 (0
 means no guard); anything else, such as ``--t nan``, ``--t inf`` or
-``--max-iter -1``, is a usage error.
+``--max-iter -1``, is a usage error.  ``--t -0`` is read as 0.
+
+``estimate`` iterates the support of the start vertex's basis units
+folded by level: at most 3 m (n-1) keys (m = n for odd n, n/2 for even
+n), each read once per twist letter and step, so its cost is linear in
+``--steps``.
 
 Exit codes: 0 success, 2 word syntax error (message carries the byte
 offset), including a word longer than ``MAX_WORD_LETTERS`` (10^6)
 letters before free reduction, or a usage error from argparse, 3
-invalid n, 4 a computation error such as ``estimate --steps 1``, an
+invalid n, outside 3 <= n <= ``MAX_N`` (128; one ``invalid n=...`` line
+on stderr), 4 a computation error such as ``estimate --steps 1``, an
 error from the guards of the classification loop or of the estimator, a
 word that needs more conjugation rounds than ``classify --max-iter``
 allows, or a computed real that is not finite, such as ``h_t`` at
 ``--t 1e308`` (one ``error: ...`` line on stderr).
 Reals are printed with 9 decimal places by default; the environment
-variable BRAIDDYN_PRECISION overrides this.  Output is valid JSON and
+variable BRAIDDYN_PRECISION overrides this.  A real that rounds to zero
+is printed as 0, never as -0.  Output is valid JSON and
 never holds NaN or an infinity.
 """
 
@@ -36,7 +43,7 @@ import sys
 from functools import lru_cache
 
 from . import automaton as am
-from .braidword import WordSyntaxError, burau, parse_word
+from .braidword import MAX_N, WordSyntaxError, burau, parse_word
 from .classify import ClassificationResult, _estimate, classify
 from .classify import estimate_growth  # noqa: F401  the bench tracer wraps cli.estimate_growth
 from .fusion import eval_mass
@@ -56,11 +63,13 @@ def _finite(x: float) -> float:
 
 
 def _round(x: float) -> float:
-    return float(f"{_finite(x):.{_precision()}f}")
+    # "or 0.0": a value that rounds to zero prints as 0.0, never -0.0
+    return float(f"{_finite(x):.{_precision()}f}") or 0.0
 
 
 def _fmt(x: float) -> str:
-    return f"{_finite(x):.{_precision()}f}"
+    text = f"{_finite(x):.{_precision()}f}"
+    return text.lstrip("-") if float(text) == 0 else text
 
 
 def _checked(convert, ok, expected: str):
@@ -78,7 +87,7 @@ def _checked(convert, ok, expected: str):
     return parse
 
 
-_finite_real = _checked(float, math.isfinite, "a finite real")
+_finite_real = _checked(lambda text: float(text) + 0.0, math.isfinite, "a finite real")  # -0 is 0
 _nonnegative_int = _checked(int, lambda k: k >= 0, "an integer >= 0")
 
 
@@ -238,7 +247,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, word=True):
-        p.add_argument("--n", type=int, required=True, help="dihedral parameter n >= 3")
+        p.add_argument(
+            "--n", type=int, required=True, help=f"dihedral parameter, 3 <= n <= {MAX_N}"
+        )
         if word:
             p.add_argument(
                 "--word", required=True, help="braid word; '-' reads lines from stdin"
@@ -286,8 +297,8 @@ def _glue_negative_t(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(_glue_negative_t(sys.argv[1:] if argv is None else argv))
-    if args.n < 3:
-        print(f"invalid n={args.n}: need n >= 3", file=sys.stderr)
+    if not 3 <= args.n <= MAX_N:
+        print(f"invalid n={args.n}: need 3 <= n <= {MAX_N}", file=sys.stderr)
         return 3
     try:
         if args.command == "classify":

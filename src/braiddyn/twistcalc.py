@@ -35,6 +35,7 @@ from .braidword import TwistLetter, twist_modulus
 from .fusion import _fusion_table, delta_value
 
 __all__ = [
+    "FoldedKey",
     "SemistableUnit",
     "gamma_on_unit",
     "letter_support",
@@ -60,6 +61,10 @@ class SemistableUnit:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+
+
+# a unit folded onto level 0: (family, index, label); see ``log_support_mass``
+FoldedKey = tuple[str, int, int]
 
 
 def _check_unit(n: int, u: SemistableUnit) -> None:
@@ -241,19 +246,30 @@ def support_mass(n: int, support: dict[SemistableUnit, int], t: float) -> float:
     return sum(w * unit_mass(n, u, t) for u, w in support.items())
 
 
-def log_support_mass(n: int, support: dict[SemistableUnit, int], t: float) -> float:
-    """log support_mass(n, support, t), summed in the log domain.
+def log_support_mass(n: int, support: dict[FoldedKey, float], t: float) -> float:
+    """log of the mass at t of a level-folded support.
 
-    Each term is kept as phase*t + log(weight * Delta_label) and the sum
-    is taken as a log-sum-exp, so it is finite however large |t| is.  The
-    phase numerator over n and log Delta_label are read from a table kept
-    per (n, family, index, label); the phase is then one correctly
-    rounded integer division, the same float as ``float(unit_phase(n, u))``.
+    A folded support maps (family, index, label) to a log weight L: the
+    units of that key stand for e^L copies of the level-0 unit, a unit at
+    level c with weight w counting as w e^(c t) copies.  That is exact
+    because a unit's mass at level c is e^(c t) times its level-0 mass.  Each key contributes phase*t + log weight +
+    log Delta_label, and the sum is taken as a log-sum-exp, so it is
+    finite however large |t| is.  The phase numerator over n and log
+    Delta_label are read from a table kept per (n, family, index,
+    label); the phase is then one correctly rounded integer division,
+    the same float as ``float(unit_phase(n, u))`` of the level-0 unit.
     """
     logs = []
-    for u, w in support.items():
-        num, log_delta = _unit_log_terms(n, u.family, u.index, u.label)
-        logs.append((num + u.level * n) / n * t + math.log(w) + log_delta)
+    for (family, index, label), log_weight in support.items():
+        num, log_delta = _unit_log_terms(n, family, index, label)
+        logs.append(num / n * t + log_weight + log_delta)
+    return _log_sum_exp(logs)
+
+
+def _log_sum_exp(logs: list[float]) -> float:
+    """log(sum(e^x for x in logs)), without overflow; exact for one term."""
+    if len(logs) == 1:
+        return logs[0]
     top = max(logs)
     return top + math.log(sum(math.exp(x - top) for x in logs))
 

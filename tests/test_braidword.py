@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braiddyn.braidword import (
+    MAX_N,
     MAX_WORD_LETTERS,
     BraidWord,
     QLaurent,
@@ -114,6 +115,16 @@ def test_exponent_grammar_is_ascii_digits(text, offset):
         parse_word(text, 5)
     assert err.value.offset == offset
     assert "bad exponent" in str(err.value)
+
+
+@pytest.mark.parametrize("n", [2, MAX_N + 1, 100000])
+def test_n_outside_the_cap_is_rejected(n):
+    from braiddyn.automaton import build
+
+    with pytest.raises(ValueError, match=f"3 <= n <= {MAX_N}"):
+        parse_word("s1", n)
+    with pytest.raises(ValueError, match=f"3 <= n <= {MAX_N}"):
+        build(n)
 
 
 def test_word_length_cap():

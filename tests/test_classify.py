@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from braiddyn.braidword import (
     joins,
     parse_word,
     to_normal_form,
+    twist_modulus,
 )
 from braiddyn.classify import (
     classify,
@@ -23,6 +25,7 @@ from braiddyn.classify import (
     growth_reducible,
     reducible_witness,
 )
+from estimator_oracle import iterate_by_levels
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 PA5 = math.log(2 * math.sqrt(math.sqrt(5) + 2) + math.sqrt(5) + 2)
@@ -534,7 +537,8 @@ def test_estimator_rejects_tiny_n_steps():
 
 
 # Penner words whose ratio estimate converges to the closed form within a few steps
-PENNER_WORDS = ((5, "s1 s2^-1"), (8, "s1^2 s2^-1"), (3, "s1 s2^-2"))
+LONG_PENNER = " ".join(["s1 s2^-1"] * 20)
+PENNER_WORDS = ((5, "s1 s2^-1"), (8, "s1^2 s2^-1"), (3, "s1 s2^-2"), (5, LONG_PENNER))
 
 
 @pytest.mark.parametrize("n, text", PENNER_WORDS)
@@ -558,6 +562,81 @@ def test_estimator_at_large_t(n, text):
         est = estimate_growth(n, w, N=24, t=t)
         assert math.isfinite(est)
         assert est == pytest.approx(res.growth.evaluate(t), rel=1e-12), t
+
+
+# --- the level-folded estimator against the level-keyed oracle ---------------------
+
+ORACLE_T = (-1000.0, -0.7, 0.0, 0.5, 1000.0)
+
+
+def _check_against_levels(res, N, t):
+    cl = sys.modules["braiddyn.classify"]  # the package attribute is the function
+    logs, power = iterate_by_levels(res, N, t)
+    want = (logs[N] - logs[N - 1]) / power
+    # the estimate is a difference of two log masses; the routes agree to
+    # 1e-12 relative to the larger of those (or to 1, near mass 1)
+    scale = max(1.0, abs(logs[N]), abs(logs[N - 1]))
+    got = cl._estimate(res, N, t)
+    assert abs(got - want) <= 1e-12 * scale, (res.n, res.normal_form.text(), N, t, got, want)
+
+
+@st.composite
+def estimator_cases(draw):
+    n = draw(st.sampled_from((3, 4, 5, 6, 8, 16)))
+    tokens = draw(
+        st.lists(st.tuples(st.sampled_from((1, 2)), st.sampled_from((-2, -1, 1, 2))), max_size=4)
+    )
+    text = " ".join(f"s{g}^{e}" for g, e in tokens)
+    return n, text, draw(st.integers(2, 10)), draw(st.sampled_from(ORACLE_T))
+
+
+@settings(max_examples=150, deadline=None)
+@given(estimator_cases())
+def test_folded_estimator_matches_level_oracle(case):
+    n, text, N, t = case
+    _check_against_levels(classify(n, parse_word(text, n)), N, t)
+
+
+@pytest.mark.parametrize("n, text", [(3, "s1 s2 s1"), (3, "s2 s1 s2"), (5, "s1 s2 s1 s2 s2")])
+def test_folded_estimator_matches_level_oracle_on_squared_words(n, text):
+    # out(beta) has no closed path; both routes iterate its square
+    res = classify(n, parse_word(text, n))
+    assert res.path is None and res.normal_form.blocks
+    for N in range(2, 11):
+        for t in ORACLE_T:
+            _check_against_levels(res, N, t)
+
+
+SLOW_N16 = "s2^-3 s2^-3 s1^-3 s1^-1 s2^2 s1^2 s2^-3 s2^-3 s1^-2"
+
+
+@pytest.mark.parametrize(
+    "n, text, N",
+    [
+        pytest.param(5, LONG_PENNER, 24, id="penner40-N24"),
+        pytest.param(5, LONG_PENNER, 200, id="penner40-N200"),
+        pytest.param(16, SLOW_N16, 12, id="n16-22letters-N12"),
+        pytest.param(4, "s2^2 s1^3", 200, id="n4-pA-N200"),
+        pytest.param(3, "s1 s2 s1", 50, id="n3-squared-N50"),
+    ],
+)
+def test_estimator_work_is_bounded_by_the_folded_keys(monkeypatch, n, text, N):
+    # each twist letter reads the support of at most 3 m (n-1) keys, each at level 0
+    cl = sys.modules["braiddyn.classify"]
+    levels = []
+    real = cl.letter_support
+
+    def counting(n_, letter, unit):
+        levels.append(unit.level)
+        return real(n_, letter, unit)
+
+    monkeypatch.setattr(cl, "letter_support", counting)
+    res = classify(n, parse_word(text, n))
+    value = cl._estimate(res, N, 0.5)
+    bound = N * res.normal_form.twist_count() * 3 * twist_modulus(n) * (n - 1)
+    assert len(levels) <= bound
+    assert set(levels) <= {0}
+    assert math.isfinite(value)
 
 
 # --- classification without exact products ----------------------------------------

@@ -2,13 +2,16 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import braiddyn
+from braiddyn.braidword import MAX_N
 from braiddyn.cli import main
 
 
@@ -54,6 +57,52 @@ def test_invalid_n_exit_code(capsys):
     code, _, err = run(capsys, ["automaton", "--n", "2", "--json"])
     assert code == 3
     assert "invalid n" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "burau", "estimate", "automaton"])
+@pytest.mark.parametrize("n", [MAX_N + 1, 100000, 10**30])
+def test_huge_n_exit_code(capsys, command, n):
+    # rejected before any table is built: the automaton at n = 100000 would
+    # run out of memory
+    argv = [command, "--n", str(n)] + ([] if command == "automaton" else ["--word", "s1"])
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.splitlines() == [f"invalid n={n}: need 3 <= n <= {MAX_N}"]
+
+
+def test_largest_n_answers(capsys):
+    code, out, err = run(capsys, ["burau", "--n", str(MAX_N), "--word", "s1 s2^-1", "--json"])
+    assert code == 0, err
+    assert json.loads(out)["n"] == MAX_N
+
+
+NEGATIVE_ZERO = re.compile(r"-0(\.0*)?(?![0-9.eE])")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--n", "6", "--word", "s1 s2", "--json"],
+        ["classify", "--n", "6", "--word", "s1 s2"],
+        ["classify", "--n", "6", "--word", "s1 s2", "--t", "-0.0", "--json"],
+        ["classify", "--n", "5", "--word", "s1^-1", "--t", "-1e-12", "--json"],
+        ["classify", "--n", "5", "--word", "s1^-1", "--t", "-1e-12"],
+        ["classify", "--n", "5", "--word", "s1^-1"],
+        ["estimate", "--n", "6", "--word", "s1 s2", "--json"],
+        ["estimate", "--n", "6", "--word", "s1 s2"],
+        ["estimate", "--n", "6", "--word", "s1 s2", "--t", "-0", "--json"],
+        ["estimate", "--n", "6", "--word", "s1 s2", "--t", "-0"],
+        ["estimate", "--n", "5", "--word", "s1^-1", "--t", "-1e-12", "--json"],
+    ],
+)
+def test_no_negative_zero_in_output(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert out
+    for line in out.splitlines():
+        assert not NEGATIVE_ZERO.search(line), line
 
 
 def test_automaton_dump_counts(capsys):

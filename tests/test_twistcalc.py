@@ -363,22 +363,24 @@ def test_forbidden_pair_raises_on_every_call():
 
 def test_log_support_mass_equals_the_unit_phase_formula():
     # the cached phase numerators must give exactly the floats of the
-    # Fraction phases, so estimates stay bit-for-bit the same
+    # Fraction phases of the level-0 units the folded keys stand for
     rng = random.Random(5)
     for n in range(3, 17):
         units = all_units(n)
         for t in (-1000.0, -0.7, 0.0, 0.3, 1.9, 1000.0):
+            # a folded key's log weight: a level-c unit of weight w adds c*t + log w
             support = {
-                SemistableUnit(u.family, u.index, rng.randrange(n - 1), rng.randint(-40, 40)):
-                    rng.randint(1, 9)
+                (u.family, u.index, rng.randrange(n - 1)):
+                    rng.randint(-40, 40) * t + math.log(rng.randint(1, 9))
                 for u in rng.sample(units, min(len(units), 6))
             }
             logs = [
-                float(unit_phase(n, u)) * t + math.log(w) + math.log(delta_value(n, u.label))
-                for u, w in support.items()
+                float(unit_phase(n, SemistableUnit(*key))) * t + log_weight
+                + math.log(delta_value(n, key[2]))
+                for key, log_weight in support.items()
             ]
             top = max(logs)
             want = top + math.log(sum(math.exp(x - top) for x in logs))
             assert log_support_mass(n, support, t) == want, (n, t)
     with pytest.raises(ValueError):
-        log_support_mass(5, {SemistableUnit(U, 0): 1}, 0.0)
+        log_support_mass(5, {(U, 0, 0): 0.0}, 0.0)
