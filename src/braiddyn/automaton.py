@@ -25,9 +25,11 @@ and a twist letter y leaves every vertex except forbidden_source(y), so a
 letter sequence is recognised exactly when every pair of consecutive
 twist letters x ... y with g net gammas between them has
 forbidden_source(y) != gamma^g(target_vertex(x)) (``braidword.joins``).
-The start vertex matters only for the gammas before the first twist
-letter, and the end vertex does not depend on it at all, so the witness
-is fixed without trying start vertices.
+A ``NormalForm`` checks that rule for its adjacent blocks when it is
+built, so ``recognize`` never jams.  The start vertex matters only for
+gamma^s before the first block, and the end vertex, the target of the
+last block, does not depend on it at all, so the start is read off the
+normal form and the letters are followed once.
 
 Classification never forms the exact product of a path.  Its zero
 pattern is the product of the arrows' 2x2 Boolean supports: the supports
@@ -254,73 +256,55 @@ def simulate(
     return tuple(out)
 
 
-def _witness_start(
-    auto: MassAutomaton, letters: list[TwistLetter | int], require_closed: bool
-) -> VertexId | None:
-    """Start vertex of the witness for a letter sequence; None if it jams everywhere.
-
-    One pass checks ``joins`` for each pair of consecutive twist letters.
-    With no twist letter every start is legal and v_0 is taken.
-    Otherwise the end vertex, gamma^g(target of the last twist letter),
-    is the same from every start, so the only start that can close up is
-    the end vertex itself; it is taken under ``require_closed`` when the
-    first twist letter can leave it after the leading gammas.  Failing
-    that, the start is the first vertex in ``vertex_order`` that the first
-    twist letter can leave.  That is the witness a scan of all start
-    vertices in that order would return.
-    """
-    n = auto.n
-    first: TwistLetter | None = None
-    prev: TwistLetter | None = None
-    lead = g = 0  # net gammas before the first twist letter / since the last one
-    for letter in letters:
-        if isinstance(letter, int):
-            g += letter
-            continue
-        if prev is None:
-            first, lead = letter, g
-        elif not joins(n, prev, g, letter):
-            return None
-        prev, g = letter, 0
-    order = auto.vertex_order()
-    if first is None:
-        return order[0]
-    m = twist_modulus(n)
-    banned = forbidden_source(n, first)
-
-    def legal(v: VertexId) -> bool:
-        return (v[0], (v[1] + lead) % m) != banned
-
-    kind, j = target_vertex(n, prev)
-    end = (kind, (j + g) % m)
-    if require_closed and legal(end):
-        return end
-    return next(v for v in order if legal(v))
-
-
 def recognize(
     auto: MassAutomaton, nf: NormalForm, require_closed: bool = False
-) -> PathWitness | None:
-    """Deterministic word recognition in one pass (see ``_witness_start``).
+) -> PathWitness:
+    """Deterministic word recognition in one pass.
 
-    Returns the witness from the first start vertex in the order v_0..,
-    u_0.. from which the word is read; with ``require_closed`` a closed
-    witness is preferred, falling back to that first witness when none
-    closes up.  Only the end vertex can close up, so the choice needs no
-    scan over start vertices; the arrows are then followed once.
+    The start vertex is read off the normal form in O(1).  Under
+    ``require_closed`` it is the end vertex, the target of the last block
+    and the only start that can close up, when the first block's letter
+    can leave it after gamma^s.  Otherwise it is the first vertex in the
+    order v_0.., u_0.. that the first letter can leave (v_0 with no block),
+    as a scan of every start in that order would return.  The arrows are
+    then followed once.
     """
-    letters = nf.letters_applied()
-    start = _witness_start(auto, letters, require_closed)
-    if start is None:
-        return None
-    path = simulate(auto, letters, start)
+    n, m = auto.n, twist_modulus(auto.n)
+    starts = iter(auto.vertices)  # v_0, v_1, ..., u_0, ...
+    start = next(starts)
+    if nf.blocks:
+        banned = forbidden_source(n, nf.blocks[0][0])
+
+        def legal(v: VertexId) -> bool:
+            return (v[0], (v[1] + nf.gamma_exp) % m) != banned
+
+        end = target_vertex(n, nf.blocks[-1][0])
+        if require_closed and legal(end):
+            start = end
+        elif not legal(start):
+            start = next(starts)  # only one vertex is banned
+    path = simulate(auto, nf.letters_applied(), start)
     end = path[-1].target if path else start
     return PathWitness(start, path, end == start)
 
 
 def recognizes_word(auto: MassAutomaton, letters: list[TwistLetter | int]) -> bool:
-    """Is the letter sequence read from some start vertex?  One pass, no arrows."""
-    return _witness_start(auto, letters, False) is not None
+    """Is the letter sequence read from some start vertex?  One pass, no arrows.
+
+    Gammas leave every vertex and a twist letter leaves all but one, so
+    the sequence jams exactly when two consecutive twist letters with g
+    net gammas between them fail ``braidword.joins``.
+    """
+    prev: TwistLetter | None = None
+    g = 0  # net gammas since the last twist letter
+    for letter in letters:
+        if isinstance(letter, int):
+            g += letter
+            continue
+        if prev is not None and not joins(auto.n, prev, g, letter):
+            return False
+        prev, g = letter, 0
+    return True
 
 
 def path_matrix(auto: MassAutomaton, path: PathWitness) -> MassMatrix:

@@ -3,6 +3,10 @@
 A ``BraidWord`` is a freely reduced word in the generators s1, s2 of the
 Artin group with relation s1 s2 s1 ... = s2 s1 s2 ... (n letters each
 side).  Words compose right-to-left: the rightmost letter acts first.
+A word is stored only as its runs (generator, nonzero exponent), adjacent
+runs carrying different generators: ``parse_word`` reads a token s_i^k
+as one run with one regex, free reduction merges runs, and
+``BraidWord.letters`` expands them for the readers that want letters.
 
 The Burau representation is kept exact: matrix entries are Laurent
 polynomials in q whose coefficients are signed integer combinations of
@@ -75,15 +79,29 @@ class WordSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class BraidWord:
-    """Freely reduced word; letters are (generator in {1,2}, sign in {+1,-1})."""
+    """Freely reduced word, stored as runs (generator in {1,2}, nonzero exponent).
+
+    Adjacent runs carry different generators, so equal words have equal
+    runs.  The constructor accepts any such pairs, letters (g, +-1) among
+    them, and merges them.
+    """
 
     n: int
-    letters: tuple[tuple[int, int], ...]
+    runs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"need n >= 3, got n={self.n}")
-        object.__setattr__(self, "letters", _free_reduce(self.letters))
+        object.__setattr__(self, "runs", _free_reduce(self.runs))
+
+    @property
+    def letters(self) -> tuple[tuple[int, int], ...]:
+        """The runs expanded to letters (generator, sign in {+1,-1})."""
+        return tuple(
+            letter
+            for g, k in self.runs
+            for letter in ((g, 1 if k > 0 else -1),) * abs(k)
+        )
 
     @classmethod
     def identity(cls, n: int) -> BraidWord:
@@ -103,10 +121,10 @@ class BraidWord:
     def __mul__(self, other: BraidWord) -> BraidWord:
         if self.n != other.n:
             raise ValueError("mismatched group parameters")
-        return BraidWord(self.n, self.letters + other.letters)
+        return BraidWord(self.n, self.runs + other.runs)
 
     def inverse(self) -> BraidWord:
-        return BraidWord(self.n, tuple((g, -s) for g, s in reversed(self.letters)))
+        return BraidWord(self.n, tuple((g, -k) for g, k in reversed(self.runs)))
 
     def __pow__(self, e: int) -> BraidWord:
         """|e| copies of the word (of its inverse for e < 0), reduced once.
@@ -114,28 +132,20 @@ class BraidWord:
         Free reduction is confluent, so this equals |e| products.
         """
         base = self if e >= 0 else self.inverse()
-        return BraidWord(self.n, base.letters * abs(e))
+        return BraidWord(self.n, base.runs * abs(e))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return sum(abs(k) for _, k in self.runs)
 
     def exponent_sums(self) -> tuple[int, int]:
         """Signed letter counts (s1 total, s2 total); conjugation invariant."""
-        e1 = sum(s for g, s in self.letters if g == 1)
-        e2 = sum(s for g, s in self.letters if g == 2)
+        e1 = sum(k for g, k in self.runs if g == 1)
+        e2 = sum(k for g, k in self.runs if g == 2)
         return e1, e2
 
     def text(self) -> str:
         """Render in the word grammar (s1/s2 tokens with exponents)."""
-        runs: list[list[int]] = []  # [generator, sign, count]
-        for g, s in self.letters:
-            if runs and runs[-1][0] == g and runs[-1][1] == s:
-                runs[-1][2] += 1
-            else:
-                runs.append([g, s, 1])
-        return " ".join(
-            f"s{g}" if s * c == 1 else f"s{g}^{s * c}" for g, s, c in runs
-        )
+        return " ".join(f"s{g}" if k == 1 else f"s{g}^{k}" for g, k in self.runs)
 
 
 def gamma_letters(e: int) -> tuple[tuple[int, int], ...]:
@@ -145,15 +155,17 @@ def gamma_letters(e: int) -> tuple[tuple[int, int], ...]:
     return ((1, -1), (2, -1)) * (-e)
 
 
-def _free_reduce(letters: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+def _free_reduce(runs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """Merge adjacent runs of one generator and drop the ones that cancel."""
     out: list[tuple[int, int]] = []
-    for g, s in letters:
-        if g not in (1, 2) or s not in (1, -1):
-            raise ValueError(f"bad letter {(g, s)}")
-        if out and out[-1][0] == g and out[-1][1] == -s:
-            out.pop()
-        else:
-            out.append((g, s))
+    for g, k in runs:
+        if g not in (1, 2) or not isinstance(k, int) or k == 0:
+            raise ValueError(f"bad run {(g, k)}")
+        if out and out[-1][0] == g:
+            k += out.pop()[1]
+            if k == 0:
+                continue
+        out.append((g, k))
     return tuple(out)
 
 
@@ -173,7 +185,10 @@ def check_n(n: int) -> None:
         raise ValueError(f"need 3 <= n <= {MAX_N}, got n={n}")
 
 
-_EXPONENT = re.compile(r"-?[0-9]+")  # ASCII digits only: no "+", "_" or other scripts
+# A well-formed token (groups 1-3: generator, sign, ASCII digits), else any
+# other run of non-space bytes; group 4 is set when that one has an exponent.
+_TOKEN = re.compile(rb"s([12])(?:\^(-?)([0-9]+))?(?!\S)|(s[12]\^\S*)|\S+")
+_MAX_DIGITS = len(str(MAX_WORD_LETTERS))
 
 
 def parse_word(text: str, n: int) -> BraidWord:
@@ -185,37 +200,26 @@ def parse_word(text: str, n: int) -> BraidWord:
     ``MAX_WORD_LETTERS`` letters, and ValueError for n outside 3..``MAX_N``.
     """
     check_n(n)
-    letters: list[tuple[int, int]] = []
-    pos = 0
-    raw = text.encode()
-    while pos < len(raw):
-        if raw[pos : pos + 1].isspace():
-            pos += 1
-            continue
-        end = pos
-        while end < len(raw) and not raw[end : end + 1].isspace():
-            end += 1
-        token = raw[pos:end].decode()
-        if not (token.startswith("s1") or token.startswith("s2")):
-            raise WordSyntaxError(f"unknown token {token!r}", pos)
-        gen = int(token[1])
-        rest = token[2:]
-        if rest == "":
-            exp = 1
-        elif rest.startswith("^"):
-            if not _EXPONENT.fullmatch(rest[1:]):
-                raise WordSyntaxError(f"bad exponent in {token!r}", pos)
-            exp = int(rest[1:])
-            if exp == 0:
-                raise WordSyntaxError(f"zero exponent in {token!r}", pos)
-        else:
-            raise WordSyntaxError(f"unknown token {token!r}", pos)
-        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
-            raise WordSyntaxError(f"{token!r} takes the word past {MAX_WORD_LETTERS} letters", pos)
-        sign = 1 if exp > 0 else -1
-        letters.extend([(gen, sign)] * abs(exp))
-        pos = end
-    return BraidWord(n, tuple(letters))
+    runs: list[tuple[int, int]] = []
+    count = 0  # letters so far, before free reduction
+    for match in _TOKEN.finditer(text.encode()):
+        gen, minus, digits, bad_exponent = match.groups()
+        if gen is None:
+            kind = "bad exponent in" if bad_exponent else "unknown token"
+            raise WordSyntaxError(f"{kind} {match[0].decode()!r}", match.start())
+        digits = b"1" if digits is None else digits.lstrip(b"0")
+        if not digits:
+            raise WordSyntaxError(f"zero exponent in {match[0].decode()!r}", match.start())
+        # more digits than the cap has is past it, and int() never reads them
+        k = int(digits) if len(digits) <= _MAX_DIGITS else MAX_WORD_LETTERS + 1
+        if count + k > MAX_WORD_LETTERS:
+            raise WordSyntaxError(
+                f"{match[0].decode()!r} takes the word past {MAX_WORD_LETTERS} letters",
+                match.start(),
+            )
+        count += k
+        runs.append((int(gen), -k if minus else k))
+    return BraidWord(n, tuple(runs))
 
 
 # ---------------------------------------------------------------------------
@@ -447,19 +451,18 @@ class NormalForm:
     def to_word(self) -> BraidWord:
         """Expand back to a word in s1, s2 (freely reduced).
 
-        The blocks are spelled out into one letter sequence that is reduced
+        Each block sigma_{gamma^j P_i}^mult = gamma^j s_i^mult gamma^-j is
+        written with s_i^mult as one run, and the whole sequence is reduced
         once; free reduction is confluent, so this equals reducing piece by
         piece.
         """
-        n = self.n
-        letters: list[tuple[int, int]] = []
+        runs: list[tuple[int, int]] = []
         for letter, mult in reversed(self.blocks):
-            # sigma_{gamma^j P_i}^mult = gamma^j s_i^mult gamma^-j
-            letters += gamma_letters(letter.index)
-            letters += [(letter.family, 1)] * mult
-            letters += gamma_letters(-letter.index)
-        letters += gamma_letters(self.gamma_exp)
-        return BraidWord(n, tuple(letters))
+            runs += gamma_letters(letter.index)
+            runs.append((letter.family, mult))
+            runs += gamma_letters(-letter.index)
+        runs += gamma_letters(self.gamma_exp)
+        return BraidWord(self.n, tuple(runs))
 
     def text(self) -> str:
         parts = [
@@ -474,52 +477,56 @@ class NormalForm:
 def to_normal_form(w: BraidWord) -> NormalForm:
     """Rewrite a word into automaton normal form.
 
-    Letters are consumed in application order (rightmost first); inverse
+    Runs are consumed in application order (rightmost first); inverse
     generators are eliminated via s2^-1 = s1 gamma^-1 and
     s1^-1 = gamma^-1 s2, gammas are pushed to the right (tracked lazily
-    as an index offset), and non-viable adjacent twist pairs collapse to
-    gamma.  Each collapse strictly shortens the word over the extended
-    alphabet, so the pass terminates.
+    as an index offset, their count s), and non-viable adjacent twist
+    pairs collapse to gamma.  Each collapse strictly shortens the word
+    over the extended alphabet, so the pass terminates.
+
+    Twist letters are kept at raw indices (true index = raw + s) and
+    each pair is tested on them: ``joins`` is unchanged when both indices
+    shift by the same amount.  A letter can always follow itself, so once
+    one letter of a positive run is pushed the rest of the run joins its
+    block at once.
     """
     n = w.n
-    m = twist_modulus(n)
-    seq: list[TwistLetter] = []  # application order; raw indices
-    offset = 0  # true index = raw + offset (mod m)
-    s = 0
+    blocks: list[list] = []  # [raw letter, multiplicity], application order
+    s = 0  # gammas pushed to the right so far; true index = raw + s (mod m)
 
-    def prepend_gamma(e: int) -> None:
-        nonlocal offset, s
-        offset += e
-        s += e
-
-    def prepend_twist(family: int, true_index: int) -> None:
-        nonlocal offset, s
-        letter = make_twist(n, family, true_index)
-        if seq:
-            last = seq[-1]
-            last_true = make_twist(n, last.family, last.index + offset)
-            if not joins(n, last_true, 0, letter):
-                # letter * last_true = gamma; push it to the right
-                seq.pop()
-                prepend_gamma(1)
+    def prepend_twist(family: int, count: int) -> None:
+        """Prepend the true twist sigma_{P_family} ``count`` times."""
+        nonlocal s
+        while count:
+            raw = make_twist(n, family, -s)
+            if blocks and blocks[-1][0] == raw:
+                blocks[-1][1] += count
                 return
-        seq.append(make_twist(n, letter.family, letter.index - offset))
+            if blocks and not joins(n, blocks[-1][0], 0, raw):
+                # raw * last = gamma; push it to the right
+                blocks[-1][1] -= 1
+                if not blocks[-1][1]:
+                    blocks.pop()
+                s += 1
+                count -= 1
+                continue
+            blocks.append([raw, count])
+            return
 
-    for g, sign in reversed(w.letters):
-        if sign == 1:
-            prepend_twist(g, 0)
-        elif g == 1:  # s1^-1 = gamma^-1 s2
-            prepend_twist(2, 0)
-            prepend_gamma(-1)
-        else:  # s2^-1 = s1 gamma^-1
-            prepend_gamma(-1)
-            prepend_twist(1, 0)
+    for g, k in reversed(w.runs):
+        if k > 0:
+            prepend_twist(g, k)
+            continue
+        for _ in range(-k):
+            if g == 1:  # s1^-1 = gamma^-1 s2
+                prepend_twist(2, 1)
+                s -= 1
+            else:  # s2^-1 = s1 gamma^-1
+                s -= 1
+                prepend_twist(1, 1)
 
-    blocks: list[tuple[TwistLetter, int]] = []
-    for raw in seq:
-        letter = make_twist(n, raw.family, raw.index + offset)
-        if blocks and blocks[-1][0] == letter:
-            blocks[-1] = (letter, blocks[-1][1] + 1)
-        else:
-            blocks.append((letter, 1))
-    return NormalForm(n, tuple(blocks), s)
+    return NormalForm(
+        n,
+        tuple((make_twist(n, raw.family, raw.index + s), mult) for raw, mult in blocks),
+        s,
+    )

@@ -10,7 +10,6 @@ from braiddyn.automaton import (
     Arrow,
     PathWitness,
     _arrow_matrix,
-    _witness_start,
     build,
     joins,
     log_pf,
@@ -239,10 +238,6 @@ def test_one_pass_matches_scan_on_letter_sequences(case):
     n, letters = case
     auto = _AUTOMATA[n]
     assert recognizes_word(auto, letters) == scan_recognizes_word(auto, letters)
-    for require_closed in (False, True):
-        want = scan_witness(auto, letters, require_closed)
-        got = _witness_start(auto, letters, require_closed)
-        assert got == (want.start if want else None)
 
 
 @settings(max_examples=300, deadline=None)

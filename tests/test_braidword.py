@@ -9,6 +9,7 @@ from braiddyn.braidword import (
     MAX_N,
     MAX_WORD_LETTERS,
     BraidWord,
+    NormalForm,
     QLaurent,
     TwistLetter,
     WordSyntaxError,
@@ -17,6 +18,7 @@ from braiddyn.braidword import (
     burau_equal,
     coxeter_matrix,
     forbidden_source,
+    joins,
     make_twist,
     parse_word,
     positive_roots,
@@ -138,6 +140,21 @@ def test_word_length_cap():
     assert err.value.offset == 10
 
 
+@pytest.mark.parametrize("zeros", [1, 4999])
+def test_leading_zeros_and_long_exponents(zeros):
+    assert parse_word("s1^" + "0" * zeros + "7", 5) == parse_word("s1^7", 5)
+    assert parse_word("s2^-" + "0" * zeros + "3", 5) == parse_word("s2^-3", 5)
+    with pytest.raises(WordSyntaxError, match="zero exponent") as err:
+        parse_word("s1 s2^-" + "0" * zeros, 5)
+    assert err.value.offset == 3
+    # more digits than int() reads by default, and than the cap has
+    for digits in ("9" * 5000, "1" + "0" * 7, "0" * zeros + "1" + "0" * 7):
+        with pytest.raises(WordSyntaxError, match="past 1000000 letters") as err:
+            parse_word("s2 s1^" + digits, 5)
+        assert err.value.offset == 3
+    assert len(parse_word("s1^" + "0" * zeros + str(MAX_WORD_LETTERS), 5)) == MAX_WORD_LETTERS
+
+
 def test_free_reduction_and_inverse():
     w = parse_word("s1 s2 s2^-1 s1^-1 s2", 5)
     assert w.letters == ((2, 1),)
@@ -153,6 +170,109 @@ def test_power_equals_repeated_product(text):
         for _ in range(abs(e)):
             want = want * base
         assert (w ** e).letters == want.letters, e
+
+
+# --- runs ------------------------------------------------------------------------
+# Words used to be stored letter by letter; that reduction and the letter-level
+# normal form pass are kept here as oracles for the run-level code.
+
+
+def oracle_free_reduce(letters):
+    out = []
+    for g, s in letters:
+        if out and out[-1][0] == g and out[-1][1] == -s:
+            out.pop()
+        else:
+            out.append((g, s))
+    return tuple(out)
+
+
+def oracle_to_normal_form(w):
+    n = w.n
+    seq = []  # application order; raw indices
+    offset = 0  # true index = raw + offset (mod m)
+    s = 0
+
+    def prepend_gamma(e):
+        nonlocal offset, s
+        offset += e
+        s += e
+
+    def prepend_twist(family):
+        letter = make_twist(n, family, 0)
+        if seq:
+            last = seq[-1]
+            last_true = make_twist(n, last.family, last.index + offset)
+            if not joins(n, last_true, 0, letter):
+                seq.pop()
+                prepend_gamma(1)
+                return
+        seq.append(make_twist(n, letter.family, letter.index - offset))
+
+    for g, sign in reversed(w.letters):
+        if sign == 1:
+            prepend_twist(g)
+        elif g == 1:
+            prepend_twist(2)
+            prepend_gamma(-1)
+        else:
+            prepend_gamma(-1)
+            prepend_twist(1)
+
+    blocks = []
+    for raw in seq:
+        letter = make_twist(n, raw.family, raw.index + offset)
+        if blocks and blocks[-1][0] == letter:
+            blocks[-1] = (letter, blocks[-1][1] + 1)
+        else:
+            blocks.append((letter, 1))
+    return NormalForm(n, tuple(blocks), s)
+
+
+run_lists = st.lists(
+    st.tuples(st.sampled_from((1, 2)), st.integers(-12, 12).filter(bool)), max_size=16
+)
+
+
+def expand(runs):
+    return tuple((g, 1 if k > 0 else -1) for g, k in runs for _ in range(abs(k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 16), run_lists)
+def test_runs_agree_with_letters(n, runs):
+    letters = expand(runs)
+    w = BraidWord(n, tuple(runs))
+    assert w == BraidWord(n, letters)
+    assert w.letters == oracle_free_reduce(letters)
+    assert expand(w.runs) == w.letters
+    assert all(a[0] != b[0] for a, b in zip(w.runs, w.runs[1:]))
+    assert len(w) == len(w.letters)
+    assert w.exponent_sums() == tuple(
+        sum(s for g, s in letters if g == gen) for gen in (1, 2)
+    )
+    assert parse_word(w.text(), n) == w
+    assert parse_word(" ".join(f"s{g}^{k}" for g, k in runs), n) == w
+    assert w.inverse().letters == oracle_free_reduce(tuple((g, -s) for g, s in reversed(letters)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 16), run_lists)
+def test_normal_form_matches_letter_level_oracle(n, runs):
+    w = BraidWord(n, tuple(runs))
+    assert to_normal_form(w) == oracle_to_normal_form(w)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
+def test_normal_form_of_long_runs_matches_oracle(n):
+    rng = random.Random(700 + n)
+    for _ in range(20):
+        runs = tuple(
+            (rng.choice((1, 2)), rng.choice((1, -1)) * rng.randint(1, 400))
+            for _ in range(rng.randint(1, 6))
+        )
+        w = BraidWord(n, runs)
+        assert to_normal_form(w) == oracle_to_normal_form(w), w.text()
 
 
 # --- Burau -------------------------------------------------------------------

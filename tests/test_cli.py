@@ -359,6 +359,18 @@ def test_word_over_length_cap_exit_code(capsys, command, word, offset):
     assert f"byte {offset}" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["classify", "burau"])
+def test_exponent_longer_than_int_reads_exit_code(capsys, command):
+    # 5000 digits are past the 4300 that int() reads by default
+    code, out, err = run(capsys, [command, "--n", "5", "--word", "s2 s1^" + "9" * 5000])
+    assert code == 2 and out == ""
+    assert "past 1000000 letters (byte 3)" in err and len(err.strip().splitlines()) == 1
+    # leading zeros do not count: this is s1^7
+    code, out, _ = run(capsys, [command, "--n", "5", "--word", "s1^" + "0" * 4999 + "7"])
+    assert code == 0
+    assert out == run(capsys, [command, "--n", "5", "--word", "s1^7"])[1]
+
+
 def test_max_iter_exit_code(capsys):
     word = "s1^2 s2^-1 s1 s2^3 s1^-2 s2 s1^-1 s2^-3 s1 s2 s1^-2"  # 3 rounds
     code, out, err = run(capsys, ["classify", "--n", "4", "--word", word, "--max-iter", "1"])
