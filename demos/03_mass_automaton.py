@@ -24,7 +24,7 @@ print()
 word = parse_word("s1 s1 s2 s2", n)
 nf = to_normal_form(word)
 print("word s1 s1 s2 s2 in normal form:", nf.text())
-print("recognised by a closed path?", recognize(auto, nf, require_closed=True) is not None)
+print("recognised by a closed path?", recognize(auto, nf, require_closed=True).closed)
 print()
 
 # its conjugate (one shortening round) is closed
@@ -32,6 +32,7 @@ conj = parse_word("s1^-1 s1 s1 s2 s2 s1", n)
 nf2 = to_normal_form(conj)
 print("conjugate normal form:", nf2.text())
 witness = recognize(auto, nf2, require_closed=True)
+print("conjugate recognised by a closed path?", witness.closed)
 print("closed path:")
 for arrow in witness.arrows:
     print(f"  {arrow.source[0]}{arrow.source[1]} --{arrow.label_text()}--> {arrow.target[0]}{arrow.target[1]}")

@@ -29,16 +29,24 @@ A ``NormalForm`` checks that rule for its adjacent blocks when it is
 built, so ``recognize`` never jams.  The start vertex matters only for
 gamma^s before the first block, and the end vertex, the target of the
 last block, does not depend on it at all, so the start is read off the
-normal form and the letters are followed once.
+normal form.  A path is kept as runs (arrow, multiplicity): gamma^s is
+one run per step, and a block b^m is the arrow of b at the current
+vertex followed by the loop of b at its target taken m - 1 times, so
+recognition costs at most two arrow lookups per block.
+``PathWitness.arrows`` expands the runs for readers that want every step.
 
 Classification never forms the exact product of a path.  Its zero
 pattern is the product of the arrows' 2x2 Boolean supports: the supports
 are read from the exact entries, and a product of nonzero entries with
 nonnegative coefficients is never zero, so the Boolean product is exact.
-The growth log PF(M(p))(t) comes from a float product of the arrow
-matrices at t, rescaled at every step.  ``path_matrix``, ``zero_pattern``
-and ``pf_eigenvalue`` are the exact route, used when the matrix itself is
-wanted; ``path_matrix`` multiplies the arrows in a balanced product tree.
+The growth h_t = log PF(M(p))(t) comes from a float product at t: each
+distinct arrow is evaluated once per call from its compiled float table
+(``Arrow.float_table``), each run is raised to its multiplicity by
+repeated squaring, and every product is rescaled with its scale kept as
+a log.  Both cost O(distinct arrows + runs * log multiplicity).
+``path_matrix``, ``zero_pattern`` and ``pf_eigenvalue`` are the exact
+route, used when the matrix itself is wanted; ``path_matrix`` multiplies
+the expanded arrows in a balanced product tree.
 """
 
 from __future__ import annotations
@@ -79,6 +87,7 @@ __all__ = [
 VertexId = tuple[str, int]
 MassMatrix = tuple[tuple[MassPoly, MassPoly], tuple[MassPoly, MassPoly]]
 Support = tuple[tuple[bool, bool], tuple[bool, bool]]  # entry is nonzero
+FloatTable = tuple[int, int, tuple[tuple[int, int, float], ...]]
 
 
 @dataclass(frozen=True)
@@ -113,23 +122,40 @@ class Arrow:
         )
 
     @cached_property
-    def weighted_terms(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """(exponent of s, PF dimension of the coefficient) per term of a, b, c, d."""
-        return tuple(
-            tuple((e, pf_dim(entry.n, vec)) for e, vec in entry.terms)
-            for row in self.matrix
-            for entry in row
+    def float_table(self) -> FloatTable:
+        """(lowest level, highest level, ((entry, level, PF weight), ...)).
+
+        Entries 0..3 are a, b, c, d; each term is one s^level [Pi] of the
+        entry with the PF dimension of its coefficient, in entry order.
+        """
+        terms = tuple(
+            (k, e, pf_dim(entry.n, vec))
+            for k, entry in enumerate(entry for row in self.matrix for entry in row)
+            for e, vec in entry.terms
         )
+        levels = [e for _, e, _ in terms]
+        return min(levels), max(levels), terms
 
 
 @dataclass(frozen=True)
 class PathWitness:
+    """A path as runs (arrow, multiplicity >= 1); runs[0] is traversed first.
+
+    ``recognize`` emits one run per gamma step and at most two per block,
+    and adjacent runs carry different arrows.
+    """
+
     start: VertexId
-    arrows: tuple[Arrow, ...]  # arrows[0] is traversed first
+    runs: tuple[tuple[Arrow, int], ...]
     closed: bool
 
+    @property
+    def arrows(self) -> tuple[Arrow, ...]:
+        """The runs expanded to one arrow per step."""
+        return tuple(arrow for arrow, mult in self.runs for arrow in (arrow,) * mult)
+
     def end(self) -> VertexId:
-        return self.arrows[-1].target if self.arrows else self.start
+        return self.runs[-1][0].target if self.runs else self.start
 
 
 @dataclass(frozen=True)
@@ -259,15 +285,17 @@ def simulate(
 def recognize(
     auto: MassAutomaton, nf: NormalForm, require_closed: bool = False
 ) -> PathWitness:
-    """Deterministic word recognition in one pass.
+    """Deterministic word recognition in one pass over the blocks.
 
     The start vertex is read off the normal form in O(1).  Under
     ``require_closed`` it is the end vertex, the target of the last block
     and the only start that can close up, when the first block's letter
     can leave it after gamma^s.  Otherwise it is the first vertex in the
     order v_0.., u_0.. that the first letter can leave (v_0 with no block),
-    as a scan of every start in that order would return.  The arrows are
-    then followed once.
+    as a scan of every start in that order would return.  Then gamma^s is
+    one run per step, and a block b^mult is the arrow of b at the current
+    vertex followed by the loop of b at its target, taken mult - 1 times
+    (one run when the two coincide): at most two arrow lookups per block.
     """
     n, m = auto.n, twist_modulus(auto.n)
     starts = iter(auto.vertices)  # v_0, v_1, ..., u_0, ...
@@ -283,9 +311,24 @@ def recognize(
             start = end
         elif not legal(start):
             start = next(starts)  # only one vertex is banned
-    path = simulate(auto, nf.letters_applied(), start)
-    end = path[-1].target if path else start
-    return PathWitness(start, path, end == start)
+    cur = start
+    runs: list[tuple[Arrow, int]] = []
+    step = 1 if nf.gamma_exp >= 0 else -1
+    for _ in range(abs(nf.gamma_exp)):
+        arrow = auto.gamma_arrows[(step, cur)]
+        runs.append((arrow, 1))
+        cur = arrow.target
+    for letter, mult in nf.blocks:
+        entry = auto.twist_arrows[(letter, cur)]
+        cur = entry.target
+        loop = auto.twist_arrows[(letter, cur)]  # a letter can always follow itself
+        if loop is entry:
+            runs.append((entry, mult))
+        else:
+            runs.append((entry, 1))
+            if mult > 1:
+                runs.append((loop, mult - 1))
+    return PathWitness(start, tuple(runs), cur == start)
 
 
 def recognizes_word(auto: MassAutomaton, letters: list[TwistLetter | int]) -> bool:
@@ -354,40 +397,87 @@ def zero_pattern(matrix: MassMatrix) -> str:
 
 
 def path_zero_pattern(path: PathWitness) -> str:
-    """Same as ``zero_pattern(path_matrix(auto, path))``, in O(path).
+    """Same as ``zero_pattern(path_matrix(auto, path))``, in O(runs * log mult).
 
-    The pattern is the Boolean product of the arrow supports.
+    The pattern is the Boolean product of the arrow supports; a run's
+    support is raised to its multiplicity by repeated squaring.
     """
-    a, b, c, d = True, False, False, True
-    for arrow in path.arrows:
+    acc = (True, False, False, True)
+    for arrow, mult in path.runs:
         (p, q), (r, s) = arrow.support
-        a, b, c, d = (
-            (p and a) or (q and c),
-            (p and b) or (q and d),
-            (r and a) or (s and c),
-            (r and b) or (s and d),
-        )
+        acc = _bool_mul(_power(_bool_mul, (p, q, r, s), mult), acc)
+    a, b, c, d = acc
     return _support_pattern(((a, b), (c, d)))
+
+
+def _bool_mul(x, y):
+    """2x2 Boolean product x y of flat (a, b, c, d) supports."""
+    p, q, r, s = x
+    a, b, c, d = y
+    return (
+        (p and a) or (q and c),
+        (p and b) or (q and d),
+        (r and a) or (s and c),
+        (r and b) or (s and d),
+    )
+
+
+def _power(mul, x, k: int):
+    """x^k for k >= 1 by repeated squaring; ``mul(x, y)`` is the product x y."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else mul(x, out)
+        k >>= 1
+        if not k:
+            return out
+        x = mul(x, x)
+
+
+def _eval_arrow(arrow: Arrow, t: float) -> tuple[float, float, float, float, float]:
+    """(p, q, r, s, top): the arrow at t is exp(top) [[p, q], [r, s]].
+
+    top is the largest level times t, so no term exp(e t - top) overflows.
+    """
+    lo, hi, terms = arrow.float_table
+    top = hi * t if t >= 0 else lo * t
+    m = [0.0, 0.0, 0.0, 0.0]
+    exp = math.exp
+    for k, e, w in terms:
+        m[k] += w * exp(e * t - top)
+    return m[0], m[1], m[2], m[3], top
+
+
+def _scaled_mul(x, y):
+    """x y for matrices held as (a, b, c, d, log scale), divided by the largest entry.
+
+    y's scale is added last, so a product of single arrows sums its
+    scales in the order of a plain left-to-right fold.
+    """
+    p, q, r, s, lx = x
+    a, b, c, d, ly = y
+    a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+    big = max(a, b, c, d)
+    return a / big, b / big, c / big, d / big, ly + (lx + math.log(big))
 
 
 def log_pf(path: PathWitness, t: float) -> float:
     """``log pf_eigenvalue(path_matrix(auto, path), t)`` from a rescaled float product.
 
-    Each arrow is evaluated at t as exp(e t - top) with top its largest
-    e t, so no term overflows; the running product is divided by its
-    largest entry after every step.  Both scales are summed in the log
-    domain, so no step overflows however large |t| is.
+    Each distinct arrow is evaluated at t once per call (``_eval_arrow``)
+    and a run is raised to its multiplicity by repeated squaring, so the
+    cost is the distinct arrows' terms plus runs * log mult 2x2 products.
+    Every product is divided by its largest entry and the scales are
+    summed in the log domain, so no step overflows however large |t| is.
     """
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    log_scale = 0.0
-    for arrow in path.arrows:
-        terms = arrow.weighted_terms
-        top = max(e * t for entry in terms for e, _ in entry)
-        p, q, r, s = (sum(w * math.exp(e * t - top) for e, w in entry) for entry in terms)
-        a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
-        big = max(a, b, c, d)
-        a, b, c, d = a / big, b / big, c / big, d / big
-        log_scale += top + math.log(big)
+    at_t: dict[int, tuple] = {}  # id(arrow) -> _eval_arrow(arrow, t), for this call only
+    acc = (1.0, 0.0, 0.0, 1.0, 0.0)
+    for arrow, mult in path.runs:
+        x = at_t.get(id(arrow))
+        if x is None:
+            x = at_t[id(arrow)] = _eval_arrow(arrow, t)
+        acc = _scaled_mul(_power(_scaled_mul, x, mult), acc)
+    a, b, c, d, log_scale = acc
     pf = 0.5 * (a + d + math.sqrt((a - d) * (a - d) + 4.0 * b * c))
     return math.log(pf) + log_scale
 

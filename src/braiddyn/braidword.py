@@ -35,10 +35,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .fusion import delta_value, product_tree, sparse_entry
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_N",
@@ -335,12 +337,16 @@ def burau_equal(a: BurauMatrix, b: BurauMatrix) -> bool:
 
 def coxeter_matrix(w: BraidWord) -> np.ndarray:
     """Burau at q = -1: the reflection representation of the dihedral group."""
+    import numpy as np  # only here and in positive_roots, so the CLI never loads it
+
     m = burau(w)
     return np.array([[m[i][j].eval_coxeter() for j in range(2)] for i in range(2)])
 
 
 def positive_roots(n: int) -> np.ndarray:
     """The n positive roots of the dihedral root system, as unit complex numbers."""
+    import numpy as np
+
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
     return np.exp(1j * np.pi * np.arange(n) / n)
@@ -438,15 +444,6 @@ class NormalForm:
 
     def length(self) -> int:
         return self.twist_count() + abs(self.gamma_exp)
-
-    def letters_applied(self) -> list[TwistLetter | int]:
-        """Letter sequence in application order; gammas as +-1 integers."""
-        out: list[TwistLetter | int] = []
-        step = 1 if self.gamma_exp >= 0 else -1
-        out.extend([step] * abs(self.gamma_exp))
-        for letter, mult in self.blocks:
-            out.extend([letter] * mult)
-        return out
 
     def to_word(self) -> BraidWord:
         """Expand back to a word in s1, s2 (freely reduced).

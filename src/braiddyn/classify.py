@@ -24,9 +24,10 @@ The loop peels the two ends of one block list held between two indices
 and records the peeled twist letters.  The final ``NormalForm`` is built
 once, through the checking constructor; the conjugate and the conjugator
 are spelled out as words once, when the verdict is returned.
-The zero pattern comes from the Boolean product of the arrow supports
-(``automaton.path_zero_pattern``) and the pseudo-Anosov growth from a
-rescaled float product (``automaton.log_pf``), so classification forms
+The zero pattern comes from the Boolean product of the arrow runs'
+supports (``automaton.path_zero_pattern``) and the pseudo-Anosov growth
+from a rescaled float product of the runs (``automaton.log_pf``), both
+with powers by repeated squaring, so classification forms
 no exact matrix product.  The exact matrix M(p) is built on first read
 of ``ClassificationResult.matrix`` or ``LogPFGrowth.matrix`` (the two
 share one build) and kept with the result.
@@ -133,10 +134,12 @@ class PiecewiseGrowth:
 class LogPFGrowth:
     """h_t = log of the Perron-Frobenius eigenvalue of a closed-path matrix M(p).
 
-    ``evaluate`` multiplies the path's arrow matrices in floats at t,
-    rescaled at every step (``automaton.log_pf``), so it does not
-    overflow at large |t|.  The exact ``matrix`` is built on first read
-    and kept.
+    ``evaluate`` multiplies the path's arrow runs in floats at t
+    (``automaton.log_pf``): each distinct arrow is evaluated once, each
+    run is raised to its multiplicity by repeated squaring, so one call
+    costs O(distinct arrows + runs * log multiplicity), and every product
+    is rescaled, so it does not overflow at large |t|.  The exact
+    ``matrix`` is built on first read and kept.
     """
 
     auto: MassAutomaton = field(repr=False, compare=False)

@@ -10,13 +10,36 @@ wraparound; and the gamma arrows are written down by hand.
 ``automaton.path_matrix`` multiplies in a balanced product tree;
 ``mat_mul`` is the plain 2x2 product, entry by entry, that a
 left-to-right fold of a path must agree with.
+
+``automaton.log_pf`` and ``automaton.path_zero_pattern`` walk arrow runs
+and raise each run to its multiplicity by repeated squaring;
+``fold_log_pf`` and ``fold_zero_pattern`` are the per-arrow folds over
+the expanded arrows that they replaced.  ``path_from_arrows`` merges an
+arrow sequence into runs, and ``letters_applied`` spells a normal form
+out letter by letter.
 """
 
 from __future__ import annotations
 
-from braiddyn.automaton import Arrow, MassAutomaton, MassMatrix, Vertex, _vertex_basis
-from braiddyn.braidword import TwistLetter, forbidden_source, target_vertex, twist_modulus
-from braiddyn.fusion import FusionVec, MassPoly, mass_mul
+import math
+
+from braiddyn.automaton import (
+    Arrow,
+    MassAutomaton,
+    MassMatrix,
+    PathWitness,
+    Vertex,
+    _support_pattern,
+    _vertex_basis,
+)
+from braiddyn.braidword import (
+    NormalForm,
+    TwistLetter,
+    forbidden_source,
+    target_vertex,
+    twist_modulus,
+)
+from braiddyn.fusion import FusionVec, MassPoly, mass_mul, pf_dim
 from braiddyn.twistcalc import SemistableUnit, letter_support
 
 
@@ -121,3 +144,71 @@ def build_by_wrap(n: int) -> MassAutomaton:
             gamma_arrows[(-1, fwd_tgt)] = bwd
 
     return MassAutomaton(n, vertices, tuple(arrows), twist_arrows, gamma_arrows)
+
+
+def letters_applied(nf: NormalForm) -> list[TwistLetter | int]:
+    """Letter sequence of a normal form in application order; gammas as +-1 integers."""
+    out: list[TwistLetter | int] = []
+    step = 1 if nf.gamma_exp >= 0 else -1
+    out.extend([step] * abs(nf.gamma_exp))
+    for letter, mult in nf.blocks:
+        out.extend([letter] * mult)
+    return out
+
+
+def path_from_arrows(start, arrows, closed: bool) -> PathWitness:
+    """The path through ``arrows`` in order, repeats of one arrow merged into a run."""
+    runs: list[list] = []
+    for arrow in arrows:
+        if runs and runs[-1][0] is arrow:
+            runs[-1][1] += 1
+        else:
+            runs.append([arrow, 1])
+    return PathWitness(start, tuple((arrow, mult) for arrow, mult in runs), closed)
+
+
+def fold_zero_pattern(path: PathWitness) -> str:
+    """Boolean product of the arrow supports, one arrow at a time."""
+    a, b, c, d = True, False, False, True
+    for arrow in path.arrows:
+        (p, q), (r, s) = arrow.support
+        a, b, c, d = (
+            (p and a) or (q and c),
+            (p and b) or (q and d),
+            (r and a) or (s and c),
+            (r and b) or (s and d),
+        )
+    return _support_pattern(((a, b), (c, d)))
+
+
+def fold_log_pf(path: PathWitness, t: float) -> float:
+    """log PF of the path matrix at t, one arrow at a time, rescaled at every step.
+
+    Each arrow is evaluated at t as exp(e t - top) with top its largest
+    e t (once per distinct arrow); the running product is divided by its
+    largest entry after every step, and both scales are summed in the log
+    domain.
+    """
+    at_t: dict[int, tuple] = {}
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    log_scale = 0.0
+    for arrow in path.arrows:
+        x = at_t.get(id(arrow))
+        if x is None:
+            terms = [
+                [(e, pf_dim(entry.n, vec)) for e, vec in entry.terms]
+                for row in arrow.matrix
+                for entry in row
+            ]
+            top = max(e * t for entry in terms for e, _ in entry)
+            x = at_t[id(arrow)] = (
+                *(sum(w * math.exp(e * t - top) for e, w in entry) for entry in terms),
+                top,
+            )
+        p, q, r, s, top = x
+        a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+        big = max(a, b, c, d)
+        a, b, c, d = a / big, b / big, c / big, d / big
+        log_scale += top + math.log(big)
+    pf = 0.5 * (a + d + math.sqrt((a - d) * (a - d) + 4.0 * b * c))
+    return math.log(pf) + log_scale

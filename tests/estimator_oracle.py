@@ -4,7 +4,7 @@
 one log weight per (family, index, label).  This module iterates the
 same word the direct way: the support is keyed by the whole decorated
 unit, level included, with exact integer weights, gamma^s is applied as
-|s| single gamma steps off ``NormalForm.letters_applied``, and the mass
+|s| single gamma steps off ``automaton_oracle.letters_applied``, and the mass
 of each unit is read from its exact ``unit_phase``.  Its dict grows with
 the number of steps times the word length, so keep N small.
 """
@@ -18,6 +18,8 @@ from braiddyn import automaton as am
 from braiddyn.braidword import NormalForm
 from braiddyn.fusion import delta_value
 from braiddyn.twistcalc import SemistableUnit, gamma_on_unit, letter_support, unit_phase
+
+from automaton_oracle import letters_applied
 
 
 def log_mass_by_levels(n: int, support: dict[SemistableUnit, int], t: float) -> float:
@@ -52,7 +54,7 @@ def iterate_by_levels(res, N: int, t: float) -> tuple[list[float], int]:
         witness = am.recognize(auto, nf, require_closed=True)
         if witness is None:
             raise ValueError("word has no recognised expression to iterate")
-    letters = nf.letters_applied()
+    letters = letters_applied(nf)
     support: dict[SemistableUnit, int] = {unit: 1 for unit in auto.vertices[witness.start].basis}
     log_masses = [log_mass_by_levels(n, support, t)]
     for _ in range(N):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -33,7 +34,16 @@ from braiddyn.braidword import (
 from braiddyn.fusion import FusionVec, MassPoly, eval_mass, mass_mul
 from braiddyn.twistcalc import V1, V2, SemistableUnit, letter_support
 
-from automaton_oracle import build_by_wrap, identity_matrix, mat_mul, support_column
+from automaton_oracle import (
+    build_by_wrap,
+    fold_log_pf,
+    fold_zero_pattern,
+    identity_matrix,
+    letters_applied,
+    mat_mul,
+    path_from_arrows,
+    support_column,
+)
 
 SQ2 = math.sqrt(2)
 
@@ -186,7 +196,7 @@ def scan_witness(auto, letters, require_closed=False):
         if path is None:
             continue
         end = path[-1].target if path else start
-        witness = PathWitness(start, path, end == start)
+        witness = path_from_arrows(start, path, end == start)
         if not require_closed:
             return witness
         if witness.closed:
@@ -197,7 +207,7 @@ def scan_witness(auto, letters, require_closed=False):
 
 
 def scan_recognize(auto, nf, require_closed=False):
-    return scan_witness(auto, nf.letters_applied(), require_closed)
+    return scan_witness(auto, letters_applied(nf), require_closed)
 
 
 def scan_recognizes_word(auto, letters):
@@ -219,7 +229,7 @@ def letter_sequences(draw):
 
 
 @st.composite
-def normal_forms(draw):
+def normal_forms(draw, mults=st.integers(1, 3)):
     n = draw(st.integers(3, 16))
     m = twist_modulus(n)
     blocks, prev = [], None
@@ -228,7 +238,7 @@ def normal_forms(draw):
             x for x in twist_letters(n) if prev is None or (x != prev and joins(n, prev, 0, x))
         ]
         prev = draw(st.sampled_from(allowed))
-        blocks.append((prev, draw(st.integers(1, 3))))
+        blocks.append((prev, draw(mults)))
     return NormalForm(n, tuple(blocks), draw(st.integers(-2 * m, 2 * m)))
 
 
@@ -247,7 +257,7 @@ def test_one_pass_matches_scan_on_normal_forms(nf, require_closed):
     got = recognize(auto, nf, require_closed=require_closed)
     assert got == scan_recognize(auto, nf, require_closed=require_closed)
     assert got is not None  # a normal form is always recognised
-    doubled = nf.letters_applied() * 2
+    doubled = letters_applied(nf) * 2
     assert recognizes_word(auto, doubled) == scan_recognizes_word(auto, doubled)
 
 
@@ -345,11 +355,9 @@ def test_path_matrix_functoriality():
                 arrows.append(arrow)
                 cur = arrow.target
             cut = rng.randint(0, len(arrows))
-            from braiddyn.automaton import PathWitness
-
-            whole = PathWitness(start, tuple(arrows), False)
-            left = PathWitness(start, tuple(arrows[:cut]), False)
-            right = PathWitness(arrows[cut - 1].target if cut else start, tuple(arrows[cut:]), False)
+            whole = path_from_arrows(start, tuple(arrows), False)
+            left = path_from_arrows(start, tuple(arrows[:cut]), False)
+            right = path_from_arrows(arrows[cut - 1].target if cut else start, tuple(arrows[cut:]), False)
             assert path_matrix(auto, whole) == mat_mul(
                 path_matrix(auto, right), path_matrix(auto, left)
             )
@@ -434,7 +442,6 @@ def test_entries_nonnegative_at_sample_points():
 
 def test_full_closed_matrices_have_pf_at_least_two():
     rng = random.Random(9)
-    from braiddyn.automaton import PathWitness
 
     for n in (4, 5):
         auto = build(n)
@@ -448,7 +455,7 @@ def test_full_closed_matrices_have_pf_at_least_two():
                 cur = arrow.target
             if cur != start:
                 continue
-            matrix = path_matrix(auto, PathWitness(start, tuple(arrows), True))
+            matrix = path_matrix(auto, path_from_arrows(start, tuple(arrows), True))
             if zero_pattern(matrix) == "full":
                 found += 1
                 assert pf_eigenvalue(matrix, 0.0) >= 2.0 - 1e-12
@@ -535,7 +542,7 @@ def test_boolean_path_pattern_matches_exact_product(n):
             arrow = rng.choice([a for a in auto.arrows if a.source == cur])
             arrows.append(arrow)
             cur = arrow.target
-        walk = PathWitness(start, tuple(arrows), cur == start)
+        walk = path_from_arrows(start, tuple(arrows), cur == start)
         want = _pattern_or_error(zero_pattern, path_matrix(auto, walk))
         assert _pattern_or_error(path_zero_pattern, walk) == want
         seen[want] += 1
@@ -559,7 +566,89 @@ def test_log_pf_matches_exact_eigenvalue(n):
 
 
 def test_log_pf_of_empty_path_is_zero():
-    assert log_pf(PathWitness(("v", 0), (), True), 123.0) == 0.0
+    assert log_pf(path_from_arrows(("v", 0), (), True), 123.0) == 0.0
+
+
+# --- run-length paths against the per-arrow folds --------------------------------
+
+T_GRID = (-1000.0, -0.5, 0.0, 0.5, 1000.0)
+LONG_MULTS = st.one_of(st.integers(1, 3), st.sampled_from([64, 1000]))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, ZeroDivisionError) as exc:  # no PF eigenvalue, vanishing diagonal
+        return type(exc).__name__
+
+
+def assert_runs_match_folds(path):
+    """The run-length pattern and log_pf against the per-arrow folds of the oracle.
+
+    log_pf agrees to 1e-12 relative to max(1, |h|): h near 0 is a
+    cancellation of log scales.  A product of L arrows whose entries are
+    each exact to one ulp is itself exact only to about L ulps, by either
+    route, so 2 L ulps are allowed on top.
+    """
+    assert _outcome(path_zero_pattern, path) == _outcome(fold_zero_pattern, path)
+    length = sum(mult for _, mult in path.runs)
+    for t in T_GRID:
+        got, want = _outcome(log_pf, path, t), _outcome(fold_log_pf, path, t)
+        if isinstance(want, str):
+            assert got == want, t
+            continue
+        bound = 1e-12 * max(1.0, abs(want)) + 2 * length * sys.float_info.epsilon
+        assert abs(got - want) <= bound, (t, got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(normal_forms(mults=LONG_MULTS), st.booleans())
+def test_run_length_folds_on_recognised_paths(nf, require_closed):
+    auto = _AUTOMATA[nf.n]
+    path = recognize(auto, nf, require_closed=require_closed)
+    assert path.arrows == simulate(auto, letters_applied(nf), path.start)
+    assert all(mult >= 1 for _, mult in path.runs)
+    assert all(x is not y for (x, _), (y, _) in zip(path.runs, path.runs[1:]))
+    assert len(path.runs) <= abs(nf.gamma_exp) + 2 * len(nf.blocks)
+    assert_runs_match_folds(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 16), st.data())
+def test_run_length_folds_on_random_walks(n, data):
+    # any walk, closed or not; a loop arrow (source == target) may repeat
+    auto = _AUTOMATA[n]
+    cur = start = data.draw(st.sampled_from(auto.vertex_order()))
+    runs = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        arrow = data.draw(st.sampled_from([a for a in auto.arrows if a.source == cur]))
+        mult = data.draw(LONG_MULTS) if arrow.target == cur else 1
+        if runs and runs[-1][0] is arrow:
+            runs[-1] = (arrow, runs[-1][1] + mult)
+        else:
+            runs.append((arrow, mult))
+        cur = arrow.target
+    path = PathWitness(start, tuple(runs), cur == start)
+    assert path == path_from_arrows(start, path.arrows, cur == start)
+    assert path.end() == cur
+    assert path.arrows == simulate(auto, [a.label for a in path.arrows], start)
+    assert_runs_match_folds(path)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
+def test_run_length_folds_on_a_loop_taken_100000_times(n):
+    # a recognised path whose middle block is one loop arrow repeated 10^5 - 1 times
+    rng = random.Random(4000 + n)
+    auto = _AUTOMATA[n]
+    x = rng.choice(auto.letters())
+    y = rng.choice([w for w in auto.letters() if w != x and joins(n, w, 0, x)])
+    z = rng.choice([w for w in auto.letters() if w != x and joins(n, x, 0, w)])
+    nf = NormalForm(n, ((y, 2), (x, 10**5), (z, 1)), rng.randint(-3, 3))
+    path = recognize(auto, nf)
+    loop, mult = max(path.runs, key=lambda run: run[1])
+    assert loop.source == loop.target and mult == 10**5 - 1
+    assert path.arrows == simulate(auto, letters_applied(nf), path.start)
+    assert_runs_match_folds(path)
 
 
 # --- the product tree against the left-to-right fold ----------------------------
@@ -591,7 +680,7 @@ def test_path_matrix_tree_equals_fold_on_walks(n, length, data):
         arrow = data.draw(st.sampled_from(_OUTGOING[n][cur]))
         arrows.append(arrow)
         cur = arrow.target
-    walk = PathWitness(start, tuple(arrows), cur == start)
+    walk = path_from_arrows(start, tuple(arrows), cur == start)
     assert path_matrix(auto, walk) == fold_path_matrix(n, arrows)
 
 
@@ -629,4 +718,4 @@ def test_path_matrix_rejects_a_negative_arrow_entry():
     (a, b), (c, d) = arrow.matrix
     planted = Arrow(arrow.source, arrow.target, arrow.label, ((a, entry), (c, d)))
     with pytest.raises(ValueError, match="nonnegative"):
-        path_matrix(auto, PathWitness(("v", 1), (planted,), False))
+        path_matrix(auto, path_from_arrows(("v", 1), (planted,), False))

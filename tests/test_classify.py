@@ -730,6 +730,35 @@ def _log_domain_log_pf(matrix, t):
     return top + math.log(0.5 * (a + d + math.sqrt((a - d) ** 2 + 4 * b * c)))
 
 
+def test_long_run_is_a_few_arrow_runs(monkeypatch):
+    # counting, not timing: the block twist1[0]^200001 is its entry arrow
+    # and one loop run, so the path has at most 4 twist runs after the
+    # |gamma_exp| gamma steps, and log_pf evaluates each distinct arrow
+    # once and squares the loop about log2(200000) times
+    res = classify(5, parse_word("s1^200000 s2^-3", 5))
+    assert res.braid_type == "pseudo_anosov"
+    gammas = abs(res.normal_form.gamma_exp)
+    assert all(isinstance(arrow.label, int) for arrow, _ in res.path.runs[:gammas])
+    assert len(res.path.runs) - gammas <= 4
+    assert sum(mult for _, mult in res.path.runs) == 200006
+    evals, products = [], []
+    real_eval, real_mul = am._eval_arrow, am._scaled_mul
+    monkeypatch.setattr(am, "_eval_arrow", lambda *a: evals.append(1) or real_eval(*a))
+    monkeypatch.setattr(am, "_scaled_mul", lambda *a: products.append(1) or real_mul(*a))
+    assert math.isfinite(res.growth.evaluate(0.5))
+    assert len(evals) == len({id(arrow) for arrow, _ in res.path.runs})
+    assert len(products) <= 2 * (200000).bit_length()
+
+
+def test_long_run_growth_matches_exact_matrix():
+    res = classify(5, parse_word("s1^2000 s2^-3", 5))
+    assert max(mult for _, mult in res.path.runs) == 2000
+    for t in (-0.5, 0.0, 0.5):
+        assert res.growth.evaluate(t) == pytest.approx(
+            _log_domain_log_pf(res.matrix, t), rel=1e-12
+        )
+
+
 # --- n = 3 trace oracle at long lengths ---------------------------------------------
 
 

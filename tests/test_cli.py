@@ -403,3 +403,19 @@ def test_automaton_dump_ignores_the_hash_seed(n):
     assert dumps[0] == dumps[1] == dumps[2]
     kinds = [a["from"][0] for a in json.loads(dumps[0])["arrows"] if a["label"] == "gamma"]
     assert kinds == sorted(kinds, key="vu".index)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only coxeter_matrix and positive_roots use numpy, and no command calls them
+    src = str(Path(braiddyn.__file__).resolve().parent.parent)
+    code = (
+        "import sys, braiddyn.cli\n"
+        "assert 'numpy' not in sys.modules, 'braiddyn.cli loaded numpy'\n"
+        "from braiddyn import coxeter_matrix, parse_word, positive_roots\n"
+        "print(coxeter_matrix(parse_word('s1 s2', 5)).shape, len(positive_roots(5)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["(2,", "2)", "5"]
