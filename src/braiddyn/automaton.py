@@ -45,8 +45,9 @@ distinct arrow is evaluated once per call from its compiled float table
 repeated squaring, and every product is rescaled with its scale kept as
 a log.  Both cost O(distinct arrows + runs * log multiplicity).
 ``path_matrix``, ``zero_pattern`` and ``pf_eigenvalue`` are the exact
-route, used when the matrix itself is wanted; ``path_matrix`` multiplies
-the expanded arrows in a balanced product tree.
+route, used when the matrix itself is wanted; ``path_matrix`` hands the
+runs to ``fusion.product_tree``, which raises each to its multiplicity by
+repeated squaring on packed entries.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .braidword import (
     target_vertex,
     twist_modulus,
 )
-from .fusion import MassPoly, eval_mass, pf_dim, product_tree, sparse_entry
+from .fusion import Leaf, MassPoly, _power, eval_mass, leaf, pf_dim, product_tree
 from .fusion import mass_mul  # noqa: F401  the bench tracer wraps automaton.mass_mul
 from .twistcalc import U, V1, V2, SemistableUnit, gamma_on_unit, letter_support
 
@@ -113,12 +114,11 @@ class Arrow:
         return _support(self.matrix)
 
     @cached_property
-    def sparse(self) -> tuple:
-        """Entries a, b, c, d as the sparse terms of ``fusion.product_tree``."""
-        return tuple(
-            sparse_entry((e, vec.coeffs) for e, vec in entry.terms)
-            for row in self.matrix
-            for entry in row
+    def leaf(self) -> Leaf:
+        """The matrix as a ``fusion.Leaf``, the factor ``fusion.product_tree`` takes."""
+        return leaf(
+            self.matrix[0][0].n,
+            [[(e, vec.coeffs) for e, vec in entry.terms] for row in self.matrix for entry in row],
         )
 
     @cached_property
@@ -353,14 +353,16 @@ def recognizes_word(auto: MassAutomaton, letters: list[TwistLetter | int]) -> bo
 def path_matrix(auto: MassAutomaton, path: PathWitness) -> MassMatrix:
     """Ordered product M(e_k) ... M(e_1); the empty path gives the identity.
 
-    The arrows' sparse matrices are multiplied in a balanced product tree
-    (``fusion.product_tree``), and each of the four entries is built once,
-    through the checking ``MassPoly`` constructor.
+    ``fusion.product_tree`` takes the path's runs, last run first, with
+    each arrow's cached ``Arrow.leaf``: a run of mult steps is one power,
+    raised by repeated squaring on the packed entries, so nothing walks
+    the expanded arrows.  Each of the four entries is built once, through
+    the checking ``MassPoly`` constructor.
     """
     n = auto.n
     a, b, c, d = (
         MassPoly.from_rows(n, rows)
-        for rows in product_tree(n, [arrow.sparse for arrow in reversed(path.arrows)])
+        for rows in product_tree(n, [(arrow.leaf, mult) for arrow, mult in reversed(path.runs)])
     )
     return ((a, b), (c, d))
 
@@ -420,18 +422,6 @@ def _bool_mul(x, y):
         (r and a) or (s and c),
         (r and b) or (s and d),
     )
-
-
-def _power(mul, x, k: int):
-    """x^k for k >= 1 by repeated squaring; ``mul(x, y)`` is the product x y."""
-    out = None
-    while True:
-        if k & 1:
-            out = x if out is None else mul(x, out)
-        k >>= 1
-        if not k:
-            return out
-        x = mul(x, x)
 
 
 def _eval_arrow(arrow: Arrow, t: float) -> tuple[float, float, float, float, float]:

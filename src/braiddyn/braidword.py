@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .fusion import delta_value, product_tree, sparse_entry
+from .fusion import Leaf, delta_value, leaf, product_tree
 
 if TYPE_CHECKING:
     import numpy as np
@@ -307,10 +307,10 @@ def _burau_generators(n: int) -> dict[tuple[int, int], BurauMatrix]:
 
 
 @lru_cache(maxsize=None)
-def _sparse_generators(n: int) -> dict[tuple[int, int], tuple]:
-    """The generator matrices as (a, b, c, d) of sparse terms, for ``product_tree``."""
+def _generator_leaves(n: int) -> dict[tuple[int, int], Leaf]:
+    """The generator matrices as the ``fusion.Leaf`` factors of ``product_tree``."""
     return {
-        letter: tuple(sparse_entry(entry.terms) for row in matrix for entry in row)
+        letter: leaf(n, [entry.terms for row in matrix for entry in row])
         for letter, matrix in _burau_generators(n).items()
     }
 
@@ -318,14 +318,17 @@ def _sparse_generators(n: int) -> dict[tuple[int, int], tuple]:
 def burau(w: BraidWord) -> BurauMatrix:
     """Exact Burau matrix of a word: the product of the letters' matrices in order.
 
-    The generator matrices are multiplied in a balanced product tree
-    (``fusion.product_tree``) and each entry is built once, through
-    ``QLaurent.from_rows``.
+    ``fusion.product_tree`` takes the word's runs: a run s_i^k is the
+    generator's (or its inverse's) leaf raised to |k| by repeated squaring
+    on the packed entries, so the letters are never expanded.  Each entry
+    is built once, through ``QLaurent.from_rows``.
     """
-    gens = _sparse_generators(w.n)
+    leaves = _generator_leaves(w.n)
     a, b, c, d = (
         QLaurent.from_rows(w.n, rows)
-        for rows in product_tree(w.n, [gens[letter] for letter in w.letters])
+        for rows in product_tree(
+            w.n, [(leaves[(g, 1 if k > 0 else -1)], abs(k)) for g, k in w.runs]
+        )
     )
     return ((a, b), (c, d))
 

@@ -18,33 +18,56 @@ evaluation sends [Pi_a] to its Perron-Frobenius dimension
 Delta_a(2 cos(pi/n)) and s to e^t; all structural decisions (zero
 patterns) are made on the symbolic side, never on floats.
 
-Every exact product in the package runs through one kernel.  The
-structure constants are multiplicity free, so ``_fusion_table(n)[a][b]``
+Every exact product in the package runs through one kernel,
+``product_tree``, on Kronecker-packed big ints (Harvey, arXiv:0712.4046).
+The structure constants are multiplicity free, so ``_fusion_table(n)[a][b]``
 lists the labels c with [Pi_a] [Pi_b] containing [Pi_c], computed once
-per n.  ``_fuse_into`` adds the product of two coefficient rows into a
-plain list of ints, and ``_sparse_dot`` accumulates a sum of Laurent
-products x_1 y_1 + x_2 y_2 + ... into exponent -> row, so a 2x2 matrix
-entry a b + c d is one call.  Intermediate products are plain rows;
-results become ``FusionVec``/``MassPoly`` objects through their checking
-constructors.  Signed coefficients are allowed only in the kernel and in
-the Burau entries (``braidword.QLaurent``), which share it.
+per n.  A factor is a ``Leaf``, prepared once per arrow or generator:
+each 2x2 matrix is shifted by s^(-lowest exponent) (the scalar commutes
+and is added back at the end), and each entry is stored per label as
+the label's polynomial in s evaluated at s = 2^(8 size), with the
+coefficients as balanced digits in slots of ``size`` bytes.  An entry
+product then adds X_a * Y_b into every label c of the table's [a][b]: one
+C-level big-int multiply per label pair, not one loop step per pair of
+terms.  A run L^m of one leaf is raised by repeated squaring on the packed
+ints, and the run powers are multiplied pairwise, level by level, so
+factors of comparable size meet.
 
-Long products of 2x2 matrices (path matrices, Burau matrices) run through
-``product_tree``: neighbours are multiplied pairwise, level by level, with
-entries kept as sparse terms (exponent, nonzero (label, coefficient)
-pairs) between levels, and the caller builds each of the four result
-entries once through its checking constructor.  Pairing factors of equal
-size keeps the cost close to the size of the result: the entries of a
-block power M^k are geometric sums, and a tree builds them in about
-k log k term products where a left-to-right fold needs about k^2.
+Evaluation at s = 2^(8 size) is a ring homomorphism, so every packed
+product is exact; a slot size only has to hold the coefficients of the
+product that is read back in slots.  Two rules pick it.
+
+- A bound fixed in advance.  Let P be the 2x2 matrix of PF masses
+  sum |coeff| Delta_a(2 cos pi/n) of a leaf at s = 1.  The structure
+  constants are nonnegative, so |x y| <= |x| |y| coefficientwise; the PF
+  dimension is a ring homomorphism on nonnegative classes; and every
+  Delta_a >= 1.  Hence every coefficient of a product is at most the
+  largest entry of the product of the P's, computed in log2 with each
+  product rescaled.  Consecutive runs whose bound fits slots of at most
+  ``_FIXED_MAX`` bytes form a group, multiplied at that one size with no
+  measuring; most products are one such group.
+- Measured coefficients.  The bound is tight for nonnegative entries,
+  but signed Burau entries cancel (gamma^n is central), and no bound fixed
+  in advance sees that.  So the group products, and any run whose power
+  is past ``_FIXED_MAX`` bytes alone, meet in a tree where each product
+  takes its size from the coefficients its children actually hold
+  (``_node_mul``), read off their slots in O(slots).
+
+Reading slots is linear too: half a slot is added to every slot, which
+turns the balanced (signed) digits nonnegative, then one ``to_bytes``
+hands back every slot.  Only results become ``FusionVec`` / ``MassPoly``
+objects, through their checking constructors; signed coefficients occur
+only in the kernel and in the Burau entries (``braidword.QLaurent``).
+``mass_mul`` and ``ring_mul`` are one-entry products through the same
+kernel.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 __all__ = [
     "FusionVec",
@@ -54,8 +77,9 @@ __all__ = [
     "fuse",
     "pf_dim",
     "ring_mul",
+    "Leaf",
+    "leaf",
     "product_tree",
-    "sparse_entry",
     "mass_mul",
     "eval_mass",
 ]
@@ -178,91 +202,353 @@ def _fusion_table(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tuple(summands(a, b) for b in range(n - 1)) for a in range(n - 1))
 
 
-def _nonzero(row) -> list[tuple[int, int]]:
-    return [(a, c) for a, c in enumerate(row) if c]
+Bound = tuple[float, float, float, float, float]  # (a, b, c, d, log2 scale), largest entry 1
+_TINY = 2.0**-500  # floor of a positive bound entry, so no product of two underflows
 
 
-def _fuse_into(
-    table, acc: list[int], u: list[tuple[int, int]], v: list[tuple[int, int]]
-) -> None:
-    """Add the product of u and v into the dense row ``acc``.
+class _Node(NamedTuple):
+    """A 2x2 matrix with Kronecker-packed entries.
 
-    u and v are the nonzero (label, coefficient) pairs of two rows, as
-    given by ``_nonzero``; the coefficients may carry signs.
+    Each entry maps a label to its polynomial in s as a little-endian
+    byte string of ``size``-byte slots, slot i holding the coefficient of
+    s^i plus half a slot (the bias turns balanced digits nonnegative).
+    Every coefficient fits ``fit`` bytes in two's complement, and none
+    sits past slot ``span`` - 1.
     """
-    for a, ca in u:
-        by_b = table[a]
-        for b, cb in v:
-            m = ca * cb
-            for c in by_b[b]:
-                acc[c] += m
+
+    size: int
+    fit: int
+    span: int
+    entries: tuple[dict[int, bytes], ...]
 
 
-def _sparse_dot(n: int, table, pairs) -> dict[int, list[int]]:
-    """Sum of the Laurent products x * y over ``pairs``, as exponent -> dense row.
+class Leaf:
+    """A 2x2 matrix prepared once for ``product_tree``; build it with ``leaf``.
 
-    x and y are sequences of sparse terms (exponent, nonzero pairs of the
-    row, as given by ``_nonzero``); exponents add and rows multiply in the
-    fusion ring.  Rows that cancel to zero are kept.
+    ``lo`` is the lowest exponent over the four entries.  ``bound`` is
+    the matrix of PF masses at s = 1 of entries a, b, c, d (sum of
+    |coefficient| Delta_label), held as (a, b, c, d, log2 scale) with the
+    largest entry 1.  ``node`` holds the entries times s^(-lo), packed at
+    the fewest bytes their coefficients fit.
     """
-    acc: dict[int, list[int]] = {}
-    for x, y in pairs:
-        for e1, u in x:
-            for e2, v in y:
-                out = acc.get(e1 + e2)
-                if out is None:
-                    out = acc[e1 + e2] = [0] * (n - 1)
-                _fuse_into(table, out, u, v)
-    return acc
+
+    __slots__ = ("lo", "bound", "node", "_fixed")
+
+    def __init__(self, lo: int, bound: Bound, node: _Node):
+        self.lo, self.bound, self.node = lo, bound, node
+        self._fixed: dict[int, tuple[dict[int, int], ...]] = {}
+
+    def fixed(self, size: int) -> tuple[dict[int, int], ...]:
+        """Entries a, b, c, d as label -> packed int at ``size``-byte slots.
+
+        Kept per size: ``product_tree`` asks for sizes up to ``_FIXED_MAX``
+        only, so a leaf holds at most that many small copies, and one arrow
+        or generator serves every product it appears in.
+        """
+        out = self._fixed.get(size)
+        if out is None:
+            node = self.node
+            out = self._fixed[size] = tuple(
+                {a: _repack(buf, node.size, node.fit, size) for a, buf in entry.items()}
+                for entry in node.entries
+            )
+        return out
 
 
-SparseMatrix = tuple  # (a, b, c, d) of [[a, b], [c, d]], each a sequence of sparse terms
+def leaf(n: int, entries) -> Leaf:
+    """The matrix [[a, b], [c, d]] from its entries (a, b, c, d) as a ``Leaf``.
+
+    Each entry is a sequence of (exponent, coefficient row) pairs, a row
+    holding one signed integer per label; terms on one exponent add, and
+    zero coefficients are dropped.
+    """
+    merged = []
+    for entry in entries:
+        acc: dict[tuple[int, int], int] = {}
+        for e, row in entry:
+            for a, c in enumerate(row):
+                if c:
+                    acc[a, e] = acc.get((a, e), 0) + c
+        merged.append({key: c for key, c in acc.items() if c})
+    table = _delta_table(n)
+    masses = [_log2_mass(table, [(a, c) for (a, _), c in acc.items()]) for acc in merged]
+    top = max(masses)
+    if top == -math.inf:
+        bound = (0.0, 0.0, 0.0, 0.0, 0.0)
+    else:
+        bound = (*(max(2.0 ** (m - top), _TINY) if m > -math.inf else 0.0 for m in masses), top)
+    lo = min((e for acc in merged for _, e in acc), default=0)
+    span = max((e - lo for acc in merged for _, e in acc), default=0) + 1
+    fit = (max((abs(c).bit_length() for acc in merged for c in acc.values()), default=0) + 8) // 8
+    node = _Node(fit, fit, span, tuple(_pack(acc, lo, fit, span) for acc in merged))
+    return Leaf(lo, bound, node)
 
 
-def _sparse_matrix_mul(n: int, table, x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
-    a, b, c, d = x
-    p, q, r, s = y
-    return tuple(
-        [(e, u) for e, row in _sparse_dot(n, table, pairs).items() if (u := _nonzero(row))]
-        for pairs in (((a, p), (b, r)), ((a, q), (b, s)), ((c, p), (d, r)), ((c, q), (d, s)))
+def _log2_mass(table, pairs) -> float:
+    """log2 of sum |c| Delta_a over the (label, coefficient) pairs, or -inf if none.
+
+    Coefficients past the float range are cut to their top 64 bits,
+    rounded up, so the result stays an upper bound.
+    """
+    top = max((abs(c).bit_length() for _, c in pairs), default=0)
+    if not top:
+        return -math.inf
+    cut = max(0, top - 64)
+    mass = sum(((abs(c) >> cut) + (cut > 0)) * table[a] for a, c in pairs)
+    return math.log2(mass) + cut
+
+
+def _bound_mul(x: Bound, y: Bound) -> Bound:
+    """x y for PF-mass bounds, divided by its largest entry, the scales adding in log2.
+
+    A positive entry is kept at least ``_TINY``: raising an entry keeps
+    an upper bound an upper bound, and no product of positive entries
+    underflows to zero.
+    """
+    p, q, r, s, lx = x
+    a, b, c, d, ly = y
+    a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+    big = max(a, b, c, d)
+    if not big:
+        return (0.0, 0.0, 0.0, 0.0, 0.0)
+    return (
+        a and max(a / big, _TINY),
+        b and max(b / big, _TINY),
+        c and max(c / big, _TINY),
+        d and max(d / big, _TINY),
+        lx + ly + math.log2(big),
     )
 
 
-def product_tree(n: int, mats: Sequence[SparseMatrix]) -> tuple[dict[int, list[int]], ...]:
-    """Product mats[0] mats[1] ... of 2x2 matrices, as four exponent -> dense row dicts.
+def _power(mul, x, k: int):
+    """x^k for k >= 1 by repeated squaring; ``mul(x, y)`` is the product x y."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else mul(x, out)
+        k >>= 1
+        if not k:
+            return out
+        x = mul(x, x)
 
-    A matrix is the tuple (a, b, c, d) of its entries [[a, b], [c, d]],
-    each a sequence of sparse terms (exponent, nonzero (label, coefficient)
-    pairs).  Neighbours are multiplied pairwise, level by level, with an
-    odd tail carried up unchanged, so the two factors of every product have
-    comparable size and the cost follows the size of the result.  Entries
-    stay sparse between levels; the caller builds its checked objects
-    from the returned rows (``MassPoly.from_rows``).  The empty product is
-    the identity.
+
+_FLIP = bytes(b ^ 0x80 for b in range(256))  # toggles a byte's top bit
+_SIGN = bytes(0xFF if b & 0x80 else 0 for b in range(256))  # a byte's top bit, spread over it
+_CARRY = bytes(b >> 7 for b in range(256))  # a byte's top bit, as 0 or 1
+
+
+def _half_slots(size: int, k: int) -> bytes:
+    """k slots of ``size`` bytes, each holding half a slot: the biased form of zero."""
+    return (bytes(size - 1) + b"\x80") * k
+
+
+def _pack(terms: dict[tuple[int, int], int], lo: int, size: int, k: int) -> dict[int, bytes]:
+    """{(label, exponent): coefficient} as label -> k biased slots of ``size`` bytes, from s^lo."""
+    half = 1 << (8 * size - 1)
+    out: dict[int, bytearray] = {}
+    for (a, e), c in terms.items():
+        buf = out.get(a)
+        if buf is None:
+            buf = out[a] = bytearray(_half_slots(size, k))
+        i = (e - lo) * size
+        buf[i : i + size] = (c + half).to_bytes(size, "little")
+    return out
+
+
+def _biased(v: int, size: int) -> bytes:
+    """The packed int v as biased slots of ``size`` bytes, in O(slots).
+
+    Every balanced digit lies in [-2^(8 size - 1), 2^(8 size - 1)), so
+    adding half a slot to each slot makes them all nonnegative, and one
+    ``to_bytes`` hands back every slot.
+    """
+    k = abs(v).bit_length() // (8 * size) + 1  # the top nonzero digit sits below slot k
+    return (v + int.from_bytes(_half_slots(size, k), "little")).to_bytes(k * size, "little")
+
+
+def _column(buf: bytes, size: int, j: int) -> bytes:
+    """Byte j of every slot in two's complement; the bias only toggles the top byte's top bit."""
+    col = buf[j::size]
+    return col if j < size - 1 else col.translate(_FLIP)
+
+
+def _fit(buf: bytes, size: int) -> int:
+    """The fewest bytes holding every coefficient of a packed entry in two's complement.
+
+    A top byte can go when, in every slot, it only repeats the sign and
+    the byte below carries the same sign bit.
+    """
+    sign = _column(buf, size, size - 1).translate(_SIGN)
+    fit = size
+    while (
+        fit > 1
+        and _column(buf, size, fit - 1) == sign
+        and _column(buf, size, fit - 2).translate(_SIGN) == sign
+    ):
+        fit -= 1
+    return fit
+
+
+def _repack(buf: bytes, size: int, fit: int, wide: int) -> int:
+    """A packed entry as its polynomial evaluated at s = 2^(8 wide), for any wide >= fit.
+
+    The low ``fit`` bytes of each slot are copied, column by column, into
+    slots of ``wide`` bytes, which holds each coefficient modulo
+    2^(8 fit); then 2^(8 fit) is taken back off every negative one.
+    """
+    k = len(buf) // size
+    out, neg = bytearray(k * wide), bytearray(k * wide)
+    for j in range(fit):
+        out[j::wide] = _column(buf, size, j)
+    neg[::wide] = out[fit - 1 :: wide].translate(_CARRY)
+    return int.from_bytes(out, "little") - (int.from_bytes(neg, "little") << (8 * fit))
+
+
+def _packed_mul(table, x, y):
+    """2x2 product x y of matrices whose entries are label -> packed int.
+
+    Each entry is x_i1 y_1j + x_i2 y_2j: one big-int multiply per label
+    pair, added into every label the pair fuses to.
+    """
+    a, b, c, d = x
+    p, q, r, s = y
+    out = []
+    for pairs in (((a, p), (b, r)), ((a, q), (b, s)), ((c, p), (d, r)), ((c, q), (d, s))):
+        acc: dict[int, int] = {}
+        get = acc.get
+        for u, v in pairs:
+            if u and v:
+                for la, xa in u.items():
+                    by_b = table[la]
+                    for lb, yb in v.items():
+                        m = xa * yb
+                        for lc in by_b[lb]:
+                            acc[lc] = get(lc, 0) + m
+        out.append(acc)
+    return tuple(out)
+
+
+def _node_mul(table, x: _Node, y: _Node) -> _Node:
+    """x y at the slot size that the children's measured coefficients call for.
+
+    A coefficient of x y sums at most 2 (n-1)^2 min(span) products of one
+    coefficient of each child, each at most 2^(8 fit - 1) in absolute
+    value; the slot size keeps that sum below half a slot, so every
+    balanced digit of a product int is a coefficient.  The product's own
+    fit is then read off its slots.
+    """
+    count = 2 * len(table) ** 2 * min(x.span, y.span)
+    size = x.fit + y.fit + (count.bit_length() + 6) // 8
+    xs, ys = (
+        tuple({a: _repack(buf, m.size, m.fit, size) for a, buf in e.items()} for e in m.entries)
+        for m in (x, y)
+    )
+    entries = tuple(
+        {a: _biased(v, size) for a, v in entry.items() if v} for entry in _packed_mul(table, xs, ys)
+    )
+    fit = max((_fit(buf, size) for entry in entries for buf in entry.values()), default=1)
+    return _Node(size, fit, x.span + y.span - 1, entries)
+
+
+_BLOCK = 1024  # slots compared at once when reading: a zero block costs one comparison
+
+
+def _read_slots(n: int, lo: int, size: int, entry: dict[int, bytes]) -> dict[int, list[int]]:
+    """A packed entry as exponent -> dense row, from s^lo.
+
+    Each slot of a block with a nonzero slot is one slice; a block of zero
+    slots is skipped whole, so sparse entries with far-apart exponents
+    cost their terms, not their span.
+    """
+    half, step = 1 << (8 * size - 1), _BLOCK * size
+    zero = _half_slots(size, _BLOCK)
+    rows: dict[int, list[int]] = {}
+    for a, buf in entry.items():
+        for start in range(0, len(buf), step):
+            block = buf[start : start + step]
+            if block == zero[: len(block)]:
+                continue
+            for e, i in enumerate(range(0, len(block), size), lo + start // size):
+                digit = int.from_bytes(block[i : i + size], "little") - half
+                if digit:
+                    row = rows.get(e)
+                    if row is None:
+                        row = rows[e] = [0] * (n - 1)
+                    row[a] = digit
+    return rows
+
+
+def _pairwise(mul, level: list):
+    """The product of ``level`` in order, multiplying neighbours level by level."""
+    while len(level) > 1:
+        paired = [mul(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        level = paired + level[len(paired) * 2 :]
+    return level[0]
+
+
+_ONE = (((0, (1,)),), (), (), ((0, (1,)),))  # the identity matrix, as leaf entries
+_FIXED_MAX = 8  # bytes: the largest slot size one group of runs shares without measuring
+
+
+def _slot_size(bound: Bound, fit: int) -> int:
+    """Bytes per slot for a product under a PF-mass bound whose leaves fit ``fit`` bytes."""
+    # every final |coefficient| is at most 2^scale; one bit more for the sign, one spare
+    return max(math.ceil((max(0.0, bound[4]) + 2) / 8), fit)
+
+
+def _groups(runs):
+    """Consecutive runs as (group, slot size), each group as long as its size stays at most
+    ``_FIXED_MAX``; a run whose power is past that alone is a group of its own."""
+    group, bound, fit = [], (1.0, 0.0, 0.0, 1.0, 0.0), 1
+    for lf, mult in runs:
+        power = _power(_bound_mul, lf.bound, mult)
+        joined, joined_fit = _bound_mul(bound, power), max(fit, lf.node.fit)
+        if group and (joined[4] > 8 * _FIXED_MAX - 2 or joined_fit > _FIXED_MAX):
+            yield group, _slot_size(bound, fit)
+            group, joined, joined_fit = [], power, lf.node.fit
+        group.append((lf, mult))
+        bound, fit = joined, joined_fit
+    yield group, _slot_size(bound, fit)
+
+
+def _group_product(table, group, size: int) -> _Node:
+    """The product of a group of runs from ``_groups``.
+
+    Up to ``_FIXED_MAX`` bytes every product of the group is taken at the
+    one slot size, on the leaves' cached copies, with nothing measured;
+    past it the group is one run, and each of its squares is measured.
+    """
+    if size > _FIXED_MAX:
+        ((lf, mult),) = group
+        return _power(partial(_node_mul, table), lf.node, mult)
+    mul = partial(_packed_mul, table)
+    root = _pairwise(mul, [_power(mul, lf.fixed(size), mult) for lf, mult in group])
+    span = sum(mult * (lf.node.span - 1) for lf, mult in group) + 1
+    entries = tuple({a: _biased(v, size) for a, v in entry.items() if v} for entry in root)
+    return _Node(size, size, span, entries)
+
+
+def product_tree(n: int, runs) -> tuple[dict[int, list[int]], ...]:
+    """Product of 2x2 matrices given as runs (leaf, mult), as four exponent -> dense row dicts.
+
+    The product is L_0^m_0 L_1^m_1 ..., each L a ``Leaf`` and each
+    m >= 1; the empty product is the identity.  Each run is raised to its
+    power by repeated squaring, and products are taken pairwise, level by
+    level.  The leaves' PF-mass bounds split the runs into groups whose
+    product fits slots of at most ``_FIXED_MAX`` bytes; a group is
+    multiplied at its one slot size, and the group products meet in a
+    tree where each product picks its size from its children's measured
+    coefficients (``_node_mul``): signed (Burau) entries cancel, and a
+    bound fixed in advance does not see that.  The caller builds its
+    checked objects from the returned rows (``MassPoly.from_rows``,
+    ``QLaurent.from_rows``).
     """
     table = _fusion_table(n)
-    level = list(mats) or [(((0, ((0, 1),)),), (), (), ((0, ((0, 1),)),))]
-    while len(level) > 1:
-        paired = [
-            _sparse_matrix_mul(n, table, level[i], level[i + 1])
-            for i in range(0, len(level) - 1, 2)
-        ]
-        level = paired + level[len(paired) * 2 :]
-    return tuple(_dense_rows(n, entry) for entry in level[0])
-
-
-def sparse_entry(terms) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """(exponent, coefficient row) terms as the sparse terms of ``product_tree``."""
-    return tuple((e, tuple(_nonzero(row))) for e, row in terms)
-
-
-def _dense_rows(n: int, entry) -> dict[int, list[int]]:
-    rows: dict[int, list[int]] = {}
-    for e, pairs in entry:
-        row = rows[e] = [0] * (n - 1)
-        for a, c in pairs:
-            row[a] = c
-    return rows
+    runs = list(runs) or [(leaf(n, _ONE), 1)]
+    nodes = [_group_product(table, group, size) for group, size in _groups(runs)]
+    root = _pairwise(partial(_node_mul, table), nodes)
+    lo = sum(lf.lo * mult for lf, mult in runs)
+    return tuple(_read_slots(n, lo, root.size, entry) for entry in root.entries)
 
 
 def fuse(n: int, a: int, b: int) -> FusionVec:
@@ -284,9 +570,8 @@ def ring_mul(u: FusionVec, v: FusionVec) -> FusionVec:
     """Bilinear extension of ``fuse`` to arbitrary nonnegative combinations."""
     if u.n != v.n:
         raise ValueError("mismatched fusion parameters")
-    out = [0] * (u.n - 1)
-    _fuse_into(_fusion_table(u.n), out, _nonzero(u.coeffs), _nonzero(v.coeffs))
-    return FusionVec(u.n, tuple(out))
+    rows = _entry_product(u.n, ((0, u.coeffs),), ((0, v.coeffs),))
+    return FusionVec(u.n, tuple(rows.get(0, [0] * (u.n - 1))))
 
 
 def pf_dim(n: int, v: FusionVec) -> float:
@@ -295,7 +580,10 @@ def pf_dim(n: int, v: FusionVec) -> float:
     if v.n != n:
         raise ValueError("mismatched fusion parameters")
     table = _delta_table(n)
-    return sum(c * table[a] for a, c in enumerate(v.coeffs))
+    try:
+        return sum(c * table[a] for a, c in enumerate(v.coeffs))
+    except OverflowError:  # a coefficient past the float range: so is the value
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -380,8 +668,17 @@ def mass_mul(p: MassPoly, q: MassPoly) -> MassPoly:
     """Product of mass polynomials; exponents add, coefficients fuse."""
     if p.n != q.n:
         raise ValueError("mismatched fusion parameters")
-    x, y = (sparse_entry((e, v.coeffs) for e, v in r.terms) for r in (p, q))
-    return MassPoly.from_rows(p.n, _sparse_dot(p.n, _fusion_table(p.n), [(x, y)]))
+    x, y = ([(e, v.coeffs) for e, v in r.terms] for r in (p, q))
+    return MassPoly.from_rows(p.n, _entry_product(p.n, x, y))
+
+
+def _entry_product(n: int, x, y) -> dict[int, list[int]]:
+    """x y for entries given as (exponent, row) pairs, as exponent -> dense row.
+
+    It is entry a of [[x, 0], [0, 0]] [[y, 0], [0, 0]]: one kernel serves
+    every product.
+    """
+    return product_tree(n, [(leaf(n, (entry, (), (), ())), 1) for entry in (x, y)])[0]
 
 
 def eval_mass(p: MassPoly, t: float) -> float:

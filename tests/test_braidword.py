@@ -26,7 +26,7 @@ from braiddyn.braidword import (
     to_normal_form,
     twist_modulus,
 )
-from braiddyn.fusion import product_tree, sparse_entry
+from braiddyn.fusion import leaf, product_tree
 from test_fusion import oracle_laurent_dot
 
 
@@ -513,8 +513,8 @@ def signed_laurent(draw, n):
 
 def product_entry(n, x, y):
     """Entry (0, 0) of the product_tree of two signed 2x2 matrices, as a QLaurent."""
-    sparse = [tuple(sparse_entry(p.terms) for p in mat) for mat in (x, y)]
-    return QLaurent.from_rows(n, product_tree(n, sparse)[0])
+    runs = [(leaf(n, [p.terms for p in mat]), 1) for mat in (x, y)]
+    return QLaurent.from_rows(n, product_tree(n, runs)[0])
 
 
 @settings(max_examples=60, deadline=None)

@@ -306,6 +306,20 @@ def test_non_finite_result_exit_code(capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_matrix_entry_past_the_floats_exit_code(capsys):
+    # h0 of (s1 s2^-1)^745 at n=3 is finite, but a coefficient of its exact
+    # matrix is past 2^1024, so the entries of matrix_at_0 are not finite reals
+    word = " ".join(["s1 s2^-1"] * 745)
+    code, out, err = run(capsys, ["classify", "--n", "3", "--word", word, "--json"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and "not finite" in err
+    assert len(err.strip().splitlines()) == 1
+    # the text report prints no matrix, so it answers
+    code, out, _ = run(capsys, ["classify", "--n", "3", "--word", word])
+    assert code == 0 and out.startswith("pseudo_anosov")
+
+
 @pytest.mark.parametrize("n, word", [(3, "s1 s2 s1"), (3, "s2 s1 s2"), (5, "s1 s2 s1 s2 s2")])
 def test_estimate_odd_n_periodic_words(capsys, n, word):
     # periodic words whose square, not the word, has a closed path

@@ -1,9 +1,11 @@
 import math
-from functools import lru_cache
+import random
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braiddyn import fusion
 from braiddyn.fusion import (
     FusionVec,
     MassPoly,
@@ -13,10 +15,12 @@ from braiddyn.fusion import (
     fuse,
     mass_mul,
     pf_dim,
+    leaf,
     product_tree,
     ring_mul,
-    sparse_entry,
 )
+
+from kernel_oracle import sparse_matrix, sparse_product
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -317,10 +321,10 @@ def test_mass_mul_and_fused_entry_match_oracle(data):
     # one entry of a 2x2 product is the fused a*b + c*d, in one accumulation
     zero = MassPoly.zero(n)
     x, y = (
-        tuple(sparse_entry((e, v.coeffs) for e, v in p.terms) for p in mat)
+        leaf(n, [[(e, v.coeffs) for e, v in p.terms] for p in mat])
         for mat in ((a, c, zero, zero), (b, zero, d, zero))
     )
-    assert as_dict(MassPoly.from_rows(n, product_tree(n, [x, y])[0])) == want
+    assert as_dict(MassPoly.from_rows(n, product_tree(n, [(x, 1), (y, 1)])[0])) == want
 
 
 def test_negative_coefficient_from_a_product_is_rejected():
@@ -336,3 +340,189 @@ def test_negative_coefficient_from_a_product_is_rejected():
     object.__setattr__(planted, "terms", ((1, bad),))
     with pytest.raises(ValueError, match="nonnegative"):
         mass_mul(planted, MassPoly.monomial(5, 2, -1))
+
+
+def test_pf_dim_past_the_floats_is_infinite():
+    # a coefficient past 2^1024 has no float value; the homomorphism says so
+    assert pf_dim(5, FusionVec(5, (0, 2**1100, 0, 0))) == math.inf
+    assert eval_mass(MassPoly.monomial(5, 1, 0, 2**1100), 0.0) == math.inf
+
+
+def test_products_past_the_floats():
+    # the slot width comes from float PF masses; coefficients past 2^1024 still fit
+    u, v = FusionVec(5, (2**2000, 1, 0, 7)), FusionVec(5, (0, 2**1500 - 1, 3, 2**1100))
+    assert list(ring_mul(u, v).coeffs) == oracle_row_mul(5, u.coeffs, v.coeffs)
+    p, q = MassPoly.from_dict(5, {-1: u, 2: v}), MassPoly.from_dict(5, {0: v, 3: u})
+    assert as_dict(mass_mul(p, q)) == oracle_laurent_dot(5, [(as_dict(p), as_dict(q))])
+
+
+# --- the packed kernel against the term-by-term kernel ---------------------
+
+# +-(2^k - 1) with k at a byte boundary: a coefficient that fills whole bytes
+PLANTED = tuple(sign * (2**k - 1) for k in (8, 16, 32, 64) for sign in (1, -1))
+
+
+def coefficients(signed):
+    small = st.integers(-4, 4) if signed else st.integers(0, 4)
+    planted = st.sampled_from(PLANTED if signed else PLANTED[::2])
+    return st.one_of(small, small, planted).filter(bool)
+
+
+@st.composite
+def laurent_entry(draw, n, signed, max_terms=3, exponents=st.integers(-3, 3)):
+    """(exponent, coefficient row) terms; the rows are sparse, the entry may be zero."""
+    terms = draw(
+        st.dictionaries(
+            exponents,
+            st.dictionaries(st.integers(0, n - 2), coefficients(signed), min_size=1, max_size=3),
+            max_size=max_terms,
+        )
+    )
+    return tuple(
+        (e, tuple(row.get(a, 0) for a in range(n - 1))) for e, row in sorted(terms.items())
+    )
+
+
+@st.composite
+def general_matrix(draw, n, signed):
+    """Four entries of up to 3 terms each; one in eight matrices is all zero."""
+    if draw(st.integers(0, 7)) == 0:
+        return ((), (), (), ())
+    return tuple(draw(laurent_entry(n, signed)) for _ in range(4))
+
+
+@st.composite
+def triangular_matrix(draw, n, signed):
+    """[[x, y], [0, z]]: x and z are +-1 or +-2 times an invertible class [Pi_0] or
+    [Pi_{n-2}] times a power of s (or zero), so a power's entries stay linear in
+    its exponent and the term-by-term oracle stays fast."""
+
+    def diagonal():
+        if draw(st.integers(0, 5)) == 0:
+            return ()
+        row = [0] * (n - 1)
+        scale = draw(st.sampled_from((1, 2, -1, -2) if signed else (1, 2)))
+        row[draw(st.sampled_from((0, n - 2)))] = scale
+        return ((draw(st.integers(-2, 2)), tuple(row)),)
+
+    return diagonal(), draw(laurent_entry(n, signed, max_terms=2)), (), diagonal()
+
+
+def kernel_rows(rows):
+    return tuple({e: tuple(row) for e, row in entry.items() if any(row)} for entry in rows)
+
+
+def check_against_oracle(n, matrices, mults):
+    runs = [(leaf(n, m), k) for m, k in zip(matrices, mults)]
+    expanded = [sparse_matrix(m) for m, k in zip(matrices, mults) for _ in range(k)]
+    assert kernel_rows(product_tree(n, runs)) == kernel_rows(sparse_product(n, expanded))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_packed_kernel_matches_sparse_oracle(data):
+    # signed (Burau-like) and nonnegative (path-like) leaves, zero entries,
+    # all-zero leaves and planted byte-filling coefficients, in runs of 1 to 3
+    n = data.draw(st.integers(3, 16))
+    signed = data.draw(st.booleans())
+    matrices = data.draw(st.lists(general_matrix(n, signed), max_size=4))
+    mults = [data.draw(st.sampled_from((1, 2, 3))) for _ in matrices]
+    check_against_oracle(n, matrices, mults)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packed_kernel_runs_match_sparse_oracle(data):
+    # long runs raised by squaring, against the oracle's product of every copy
+    n = data.draw(st.integers(3, 16))
+    signed = data.draw(st.booleans())
+    matrices = data.draw(st.lists(triangular_matrix(n, signed), min_size=1, max_size=3))
+    mults = [data.draw(st.sampled_from((1, 2, 3, 64, 1000))) for _ in matrices]
+    check_against_oracle(n, matrices, mults)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 16])
+def test_packed_kernel_edge_products(n):
+    identity = {0: (1,) + (0,) * (n - 2)}
+    assert kernel_rows(product_tree(n, [])) == (identity, {}, {}, identity)
+    zero = leaf(n, ((), (), (), ()))
+    assert kernel_rows(product_tree(n, [(zero, 1000)])) == ({}, {}, {}, {})
+    # a planted coefficient alone in its product fills its bytes exactly
+    for c in PLANTED:
+        one = ((0, (c,) + (0,) * (n - 2)),)
+        check_against_oracle(n, [(one, (), (), one)], [1])
+        check_against_oracle(n, [(one, one, (), one), (one, (), one, ())], [1, 2])
+    # every coefficient at the largest size its bytes allow, on every label
+    # and exponent: products reach the worst case their slot sizes allow
+    for c in (-127, 2**71 - 1, -(2**71 - 1)):
+        full = tuple((e, (c,) * (n - 1)) for e in range(3))
+        check_against_oracle(n, [(full,) * 4, (full,) * 4], [1, 1])
+        check_against_oracle(n, [(full, full, (), full)], [3])
+
+
+# --- slot sizes read off the coefficients ----------------------------------
+
+
+@st.composite
+def packed_digits(draw):
+    """Signed digits, planted ones at the edges of a byte, and a slot size that holds them."""
+    edge = st.sampled_from([s * 2**k + d for k in (7, 15, 31) for s in (1, -1) for d in (-1, 0, 1)])
+    digits = draw(st.lists(st.one_of(st.integers(-300, 300), edge), min_size=1, max_size=12))
+    if not any(digits):
+        digits[0] = 1
+    fit = max(((d if d >= 0 else ~d).bit_length() + 8) // 8 for d in digits)
+    return digits, fit, fit + draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_digits(), st.integers(0, 3))
+def test_fit_and_repack_read_the_slots(case, extra):
+    # _fit is the fewest bytes holding every digit in two's complement
+    # (-128 fits one byte, 128 needs two); _repack re-packs at any size
+    # from fit up, as the polynomial evaluated at the new slot width
+    digits, fit, size = case
+    buf = fusion._pack({(0, e): d for e, d in enumerate(digits) if d}, 0, size, len(digits))[0]
+    assert fusion._fit(buf, size) == fit
+    wide = fit + extra
+    want = sum(d << (8 * wide * e) for e, d in enumerate(digits))
+    assert fusion._repack(buf, size, fit, wide) == want
+    if fit > 1:  # one byte less would lose a digit
+        assert fusion._repack(buf, size, fit - 1, wide) != want
+
+
+def measured_root(n, runs):
+    """product_tree's last product, as a packed node, for white-box checks of its slot size."""
+    table = fusion._fusion_table(n)
+    nodes = [fusion._group_product(table, group, size) for group, size in fusion._groups(runs)]
+    return fusion._pairwise(partial(fusion._node_mul, table), nodes)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_cancelling_products_keep_narrow_slots(n):
+    # signed Burau entries cancel: s1 s1^-1 repeated, and gamma^(3k) at
+    # n=3 (central), stay small however long the product, and each slot
+    # follows them; a bound fixed in advance grows with the length
+    from braiddyn.braidword import _generator_leaves
+
+    g = _generator_leaves(n)
+    identity = {0: (1,) + (0,) * (n - 2)}
+    runs = [(g[1, 1], 1), (g[2, 1], 1), (g[2, -1], 1), (g[1, -1], 1)] * 500
+    assert kernel_rows(product_tree(n, runs)) == (identity, {}, {}, identity)
+    assert measured_root(n, runs).size <= 8  # bytes; the bound in advance needs hundreds
+    if n == 3:
+        root = measured_root(3, [(g[2, 1], 1), (g[1, 1], 1)] * 3000)
+        assert root.size <= 4 and root.fit == 1
+
+
+def test_mass_mul_of_a_long_operand():
+    # packing and reading slots are linear in the operand's length
+    n, rng = 5, random.Random(7)
+    p = MassPoly.from_dict(
+        n, {e: FusionVec(n, tuple(rng.randint(0, 9) for _ in range(n - 1))) for e in range(100_000)}
+    )
+    q = MassPoly.from_dict(n, {-2: FusionVec.simple(n, 1), 3: FusionVec(n, (2, 0, 0, 1))})
+    want = oracle_laurent_dot(n, [(as_dict(p), as_dict(q))])
+    assert as_dict(mass_mul(p, q)) == want
+    # far-apart exponents: the slots between them are skipped block by block
+    sparse = MassPoly.from_dict(n, {-5: FusionVec.simple(n, 2), 300_000: FusionVec(n, (1, 0, 4, 0))})
+    assert as_dict(mass_mul(sparse, q)) == oracle_laurent_dot(n, [(as_dict(sparse), as_dict(q))])

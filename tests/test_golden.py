@@ -2,12 +2,13 @@
 
 Each digest is the sha256 of the exit code and stdout of one in-process
 CLI call: ``classify --json`` and ``burau --json`` on a batch of random
-words per n (read from stdin with ``--word -``), and ``automaton --json``
-for n = 3..8.  ``classify`` drops its float fields (``h0``, ``t``,
+words per n (read from stdin with ``--word -``), the same two on a few
+long words (``LONG_WORDS``: long runs, entries with coefficients above
+64 bits, and signed entries that cancel), and ``automaton --json`` for
+n = 3..8.  ``classify`` drops its float fields (``h0``, ``t``,
 ``h_at_t``, ``matrix_at_0``), whose last digits may depend on the
-platform's libm; everything left is exact.  A change to any exact field,
-its order, or the output's dependence on ``PYTHONHASHSEED`` shows up as
-a changed digest.
+platform's libm; everything left is exact.  A change to any exact field, its order, or the output's
+dependence on ``PYTHONHASHSEED`` shows up as a changed digest.
 
 Run this module as a script to print the digests of the current code.
 """
@@ -43,6 +44,26 @@ GOLDEN = {
     "automaton n=6": "55611e657dbaa1f03259989a8852f881044944d0753596b64e631cde1cc466f6",
     "automaton n=7": "ca2d093c1d3a93125fbcb7b8fd51eeeaabbe492f413c9beca209858185dfce76",
     "automaton n=8": "c7f8966b73d08893f0f228dfe2ff4c9e5fa391e46540b967580b29efcb3f5369",
+    "classify n=8 s1^-1000 s2^-1000": "06c0eb641e113fd8025035a9a8711969d9b04a43747d6523c8bcd27145ef70a9",
+    "classify n=5 s1^20000 s2^-3": "b5865c20bcecab7c09324d617a06e35ffd19c8644a83dc157f93c114fc5406d4",
+    "classify n=8 (s1^3 s2^-3)^40": "3c8dcadd4055e2d17afe9d6ac175b9d9a1b5257fe96e30e25a84641e2a749cf0",
+    "burau n=8 s1^-1000 s2^-1000": "881c8dc52d56ddcaa90d1994e275aa2a7e8a4c893f8398328e7417259a1d4fbd",
+    "burau n=5 s1^20000 s2^-3": "0e83c8a9227bd37d4974db3775be50d2bbfef5fbbe3b6b6481ca40fbb829be55",
+    "burau n=8 (s1^3 s2^-3)^40": "1ce404c58aa3472e551c67b650737020e69f4ddd3600d66d6aefa96bf1cf1980",
+    "burau n=3 (s2 s1)^3000": "9c166f697a164a4be372869cab136f234c13e39a0d0d1845559db6f3ce5fccd2",
+    "burau n=5 (s2 s1)^2000 s1^3 (s1^-1 s2^-1)^2000": "4e21579b95bfde160fd2fc1fe3c14c861c0dfb5106b9981262dc06726f974dd0",
+}
+
+# a golden name "<command> n=<n> <label>" runs the one word LONG_WORDS[label]
+LONG_WORDS = {
+    "s1^-1000 s2^-1000": "s1^-1000 s2^-1000",
+    "s1^20000 s2^-3": "s1^20000 s2^-3",
+    "(s1^3 s2^-3)^40": " ".join(["s1^3 s2^-3"] * 40),
+    # gamma^3 is central at n=3, and a conjugate of s1^3: signed entries that cancel
+    "(s2 s1)^3000": " ".join(["s2 s1"] * 3000),
+    "(s2 s1)^2000 s1^3 (s1^-1 s2^-1)^2000": " ".join(
+        ["s2 s1"] * 2000 + ["s1^3"] + ["s1^-1 s2^-1"] * 2000
+    ),
 }
 
 
@@ -79,11 +100,12 @@ def exact_classify_line(line: str) -> str:
 
 
 def output_digest(name: str) -> str:
-    command, n = name.split(" n=")
+    command, rest = name.split(" n=")
+    n, _, label = rest.partition(" ")
     if command == "automaton":
         code, out = run_cli(["automaton", "--n", n, "--json"])
     else:
-        words = "".join(f"{w}\n" for w in batch(int(n)))
+        words = "".join(f"{w}\n" for w in ([LONG_WORDS[label]] if label else batch(int(n))))
         code, out = run_cli([command, "--n", n, "--word", "-", "--json"], words)
         if command == "classify":
             out = "".join(exact_classify_line(line) + "\n" for line in out.splitlines())

@@ -34,15 +34,29 @@ def test_every_public_name_resolves(name):
 
 def test_one_product_path():
     # 2x2 products run only through fusion.product_tree, entry products
-    # only through its kernel; the left-to-right fold lives in the tests
+    # only through its packed kernel; the left-to-right fold and the
+    # term-by-term kernel live in the tests
     removed = {
-        "braiddyn.fusion": ("mass_dot", "_laurent_dot", "_rows"),
+        "braiddyn.fusion": (
+            "mass_dot",
+            "_laurent_dot",
+            "_rows",
+            "_fuse_into",
+            "_nonzero",
+            "_sparse_dot",
+            "_sparse_matrix_mul",
+            "_dense_rows",
+            "SparseMatrix",
+            "sparse_entry",
+        ),
         "braiddyn.automaton": ("mat_mul", "mass_dot"),
-        "braiddyn.braidword": ("_mat_mul", "_svec_add", "_laurent_dot"),
+        "braiddyn.braidword": ("_mat_mul", "_svec_add", "_laurent_dot", "_sparse_generators"),
     }
     for name, attrs in removed.items():
         module = importlib.import_module(name)
         assert [a for a in attrs if hasattr(module, a)] == [], name
+    from braiddyn.automaton import Arrow
     from braiddyn.braidword import QLaurent
 
     assert "__mul__" not in vars(QLaurent) and "__add__" not in vars(QLaurent)
+    assert "sparse" not in vars(Arrow)
