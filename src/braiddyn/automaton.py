@@ -62,6 +62,7 @@ from .braidword import (
     check_n,
     forbidden_source,
     joins,
+    make_twist,
     target_vertex,
     twist_modulus,
 )
@@ -247,7 +248,7 @@ def build(n: int) -> MassAutomaton:
     twist_arrows: dict[tuple[TwistLetter, VertexId], Arrow] = {}
     for family in (1,) if n % 2 else (1, 2):
         for j in range(m):
-            letter = TwistLetter(family, j)
+            letter = make_twist(n, family, j)  # the one object per letter, as in normal forms
             tgt, banned = target_vertex(n, letter), forbidden_source(n, letter)
             for src in ids:
                 if src != banned:

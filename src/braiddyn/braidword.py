@@ -28,6 +28,10 @@ Twist indices are taken mod n for odd n and mod n/2 for even n, since
 gamma^n (odd) and gamma^(n/2) (even) act on the defining objects by
 shifts (and tensoring by the invertible class Pi_{n-2}), neither of
 which changes the twist functor.
+
+The rewrite runs on small-int letter codes, with one table per n
+(``_Letters``): the pair rule ``joins`` is one list read, and letter
+objects are built once, when the normal form is returned.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .fusion import Leaf, delta_value, leaf, product_tree
 
@@ -375,12 +379,51 @@ class TwistLetter:
         return f"twist{self.family}[{self.index}]"
 
 
-def make_twist(n: int, family: int, index: int) -> TwistLetter:
+class _Letters(NamedTuple):
+    """The twist letters of one n by small-int code, and the pair rule on codes.
+
+    Family 1 letter index j has code j and family 2 (even n) code m + j,
+    m = ``twist_modulus(n)``.  The code of a letter is also the code of
+    its target vertex, v_j being j and u_j being m + j, and gamma^g moves
+    a code c within its family, to c - c % m + (c + g) % m.
+    ``letters[c]`` is the one ``TwistLetter`` of code c, and ``ban[c]``
+    the code of its forbidden source, so y can follow x exactly when
+    ban[y] != x.
+    """
+
+    m: int
+    letters: tuple[TwistLetter, ...]
+    ban: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _letter_table(n: int) -> _Letters:
     m = twist_modulus(n)
+    letters = tuple(
+        TwistLetter(family, j) for family in ((1,) if n % 2 else (1, 2)) for j in range(m)
+    )
+
+    def code(vertex: tuple[str, int]) -> int:
+        kind, j = vertex
+        return j if kind == "v" else m + j
+
+    return _Letters(m, letters, tuple(code(forbidden_source(n, letter)) for letter in letters))
+
+
+def _code(m: int, letter: TwistLetter) -> int:
+    """A letter's ``_letter_table`` code."""
+    return letter.index if letter.family == 1 else m + letter.index
+
+
+def make_twist(n: int, family: int, index: int) -> TwistLetter:
+    """The letter sigma_{gamma^index P_family} of this n, index reduced; one object per letter."""
+    m, letters, _ = _letter_table(n)
+    if family not in (1, 2):
+        raise ValueError(f"twist family must be 1 or 2, got {family}")
     if n % 2 and family == 2:
         # odd n: sigma_{gamma^j P_2} = sigma_{gamma^(j+(n+1)/2) P_1}
         family, index = 1, index + (n + 1) // 2
-    return TwistLetter(family, index % m)
+    return letters[index % m if family == 1 else m + index % m]
 
 
 def target_vertex(n: int, letter: TwistLetter) -> tuple[str, int]:
@@ -404,10 +447,12 @@ def joins(n: int, first: TwistLetter, gammas: int, second: TwistLetter) -> bool:
 
     ``first`` ends at its target vertex, gamma^g moves the index of that
     vertex by g, and ``second`` leaves every vertex but its forbidden
-    source.  ``joins(n, x, 0, x)`` always holds.
+    source: one read of the ``_letter_table`` ban list, on letters as
+    ``make_twist`` gives them.  ``joins(n, x, 0, x)`` always holds.
     """
-    kind, j = target_vertex(n, first)
-    return forbidden_source(n, second) != (kind, (j + gammas) % twist_modulus(n))
+    m, _, ban = _letter_table(n)
+    x = _code(m, first)
+    return ban[_code(m, second)] != x - x % m + (x + gammas) % m
 
 
 @dataclass(frozen=True)
@@ -424,23 +469,26 @@ class NormalForm:
     gamma_exp: int
 
     def __post_init__(self):
-        m = twist_modulus(self.n)
-        prev: TwistLetter | None = None
+        m, _, ban = _letter_table(self.n)
+        families = (1,) if self.n % 2 else (1, 2)
+        prev, x = None, -1  # the previous block's letter and its code
         for letter, mult in self.blocks:
             if mult < 1:
                 raise ValueError("block multiplicities must be positive")
             if not 0 <= letter.index < m:
                 raise ValueError(f"letter index {letter.index} not reduced mod {m}")
-            if self.n % 2 and letter.family != 1:
-                raise ValueError("odd n letters are normalised to the P_1 family")
-            if prev is not None:
-                if prev == letter:
-                    raise ValueError("adjacent blocks must carry distinct letters")
-                if not joins(self.n, prev, 0, letter):
-                    raise ValueError(
-                        f"{letter.label()} cannot follow {prev.label()}"
-                    )
-            prev = letter
+            if letter.family not in families:
+                raise ValueError(
+                    "odd n letters are normalised to the P_1 family"
+                    if self.n % 2
+                    else f"twist family must be 1 or 2, got {letter.family}"
+                )
+            y = _code(m, letter)
+            if y == x:
+                raise ValueError("adjacent blocks must carry distinct letters")
+            if ban[y] == x:
+                raise ValueError(f"{letter.label()} cannot follow {prev.label()}")
+            prev, x = letter, y
 
     def twist_count(self) -> int:
         return sum(m for _, m in self.blocks)
@@ -449,20 +497,8 @@ class NormalForm:
         return self.twist_count() + abs(self.gamma_exp)
 
     def to_word(self) -> BraidWord:
-        """Expand back to a word in s1, s2 (freely reduced).
-
-        Each block sigma_{gamma^j P_i}^mult = gamma^j s_i^mult gamma^-j is
-        written with s_i^mult as one run, and the whole sequence is reduced
-        once; free reduction is confluent, so this equals reducing piece by
-        piece.
-        """
-        runs: list[tuple[int, int]] = []
-        for letter, mult in reversed(self.blocks):
-            runs += gamma_letters(letter.index)
-            runs.append((letter.family, mult))
-            runs += gamma_letters(-letter.index)
-        runs += gamma_letters(self.gamma_exp)
-        return BraidWord(self.n, tuple(runs))
+        """Expand back to a word in s1, s2 (freely reduced), through ``_twist_runs``."""
+        return BraidWord(self.n, _twist_runs(reversed(self.blocks), self.gamma_exp))
 
     def text(self) -> str:
         parts = [
@@ -472,6 +508,26 @@ class NormalForm:
         if self.gamma_exp or not parts:
             parts.append(f"gamma^{self.gamma_exp}" if self.gamma_exp != 1 else "gamma")
         return " ".join(parts)
+
+
+def _twist_runs(powers, gamma_exp: int) -> tuple[tuple[int, int], ...]:
+    """The runs of x_1^e_1 ... x_k^e_k gamma^gamma_exp for twist powers (x_i, e_i) in word order.
+
+    Each sigma_{gamma^j P_i}^e is gamma^j s_i^e gamma^-j.  Spelled power
+    by power, the gamma^-j_prev gamma^j_next between two powers cancel to
+    gamma^(j_next - j_prev), so only that is written: k generator runs
+    and O(k m + |gamma_exp|) gamma letters, none of which cancel.  Free
+    reduction is confluent, so the ``BraidWord`` of these runs is the
+    product of the powers reduced one by one.
+    """
+    runs: list[tuple[int, int]] = []
+    j = 0
+    for letter, e in powers:
+        runs += gamma_letters(letter.index - j)
+        runs.append((letter.family, e))
+        j = letter.index
+    runs += gamma_letters(gamma_exp - j)
+    return tuple(runs)
 
 
 def to_normal_form(w: BraidWord) -> NormalForm:
@@ -484,49 +540,56 @@ def to_normal_form(w: BraidWord) -> NormalForm:
     pairs collapse to gamma.  Each collapse strictly shortens the word
     over the extended alphabet, so the pass terminates.
 
-    Twist letters are kept at raw indices (true index = raw + s) and
-    each pair is tested on them: ``joins`` is unchanged when both indices
-    shift by the same amount.  A letter can always follow itself, so once
-    one letter of a positive run is pushed the rest of the run joins its
-    block at once.
+    The blocks are two int lists: the letters' ``_letter_table`` codes at
+    raw indices (true index = raw + s) and their multiplicities.  A new
+    letter collapses with the last block when ban[raw] == last, read on
+    raw codes, since the rule is unchanged when both indices shift by the
+    same amount.  A letter can always follow itself, so once one letter
+    of a positive run is pushed the rest of the run joins its block at
+    once.  The codes become interned letters once, at the end.
     """
     n = w.n
-    blocks: list[list] = []  # [raw letter, multiplicity], application order
-    s = 0  # gammas pushed to the right so far; true index = raw + s (mod m)
-
-    def prepend_twist(family: int, count: int) -> None:
-        """Prepend the true twist sigma_{P_family} ``count`` times."""
-        nonlocal s
-        while count:
-            raw = make_twist(n, family, -s)
-            if blocks and blocks[-1][0] == raw:
-                blocks[-1][1] += count
-                return
-            if blocks and not joins(n, blocks[-1][0], 0, raw):
-                # raw * last = gamma; push it to the right
-                blocks[-1][1] -= 1
-                if not blocks[-1][1]:
-                    blocks.pop()
-                s += 1
-                count -= 1
-                continue
-            blocks.append([raw, count])
-            return
-
+    m, letters, ban = _letter_table(n)
+    codes: list[int] = []  # raw codes of the blocks, application order
+    mults: list[int] = []
+    # the code of sigma_{P_f}; after s pushed gammas its raw code is that moved by -s
+    home = (0, _code(m, make_twist(n, 1, 0)), _code(m, make_twist(n, 2, 0)))
+    s = 0  # gammas pushed to the right so far
     for g, k in reversed(w.runs):
-        if k > 0:
-            prepend_twist(g, k)
-            continue
-        for _ in range(-k):
-            if g == 1:  # s1^-1 = gamma^-1 s2
-                prepend_twist(2, 1)
-                s -= 1
-            else:  # s2^-1 = s1 gamma^-1
-                s -= 1
-                prepend_twist(1, 1)
+        if k > 0:  # sigma_{P_g}^k, one step
+            family, reps, count, before, after = g, 1, k, 0, 0
+        elif g == 1:  # s1^-1 = gamma^-1 s2, letter by letter
+            family, reps, count, before, after = 2, -k, 1, 0, -1
+        else:  # s2^-1 = s1 gamma^-1, letter by letter
+            family, reps, count, before, after = 1, -k, 1, -1, 0
+        h = home[family]
+        base = h - h % m
+        for _ in range(reps):
+            s += before
+            left = count
+            while left:
+                raw = base + (h - s) % m
+                last = codes[-1] if codes else -1
+                if raw == last:
+                    mults[-1] += left
+                    break
+                if ban[raw] != last:
+                    codes.append(raw)
+                    mults.append(left)
+                    break
+                # raw * last = gamma; push it to the right
+                if mults[-1] == 1:
+                    codes.pop()
+                    mults.pop()
+                else:
+                    mults[-1] -= 1
+                s += 1
+                left -= 1
+            s += after
 
-    return NormalForm(
-        n,
-        tuple((make_twist(n, raw.family, raw.index + s), mult) for raw, mult in blocks),
-        s,
-    )
+    shift = s % m
+    # tuple() of a list, not of a generator: that one is built at a guessed
+    # length and resized, and the interpreter's free lists of short tuples
+    # keep each freed size, so a long run of calls grows the resident memory
+    blocks = [(letters[raw - raw % m + (raw + shift) % m], mult) for raw, mult in zip(codes, mults)]
+    return NormalForm(n, tuple(blocks), s)

@@ -52,7 +52,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
 
 from . import automaton as am
 from .automaton import MassAutomaton, MassMatrix, PathWitness
@@ -60,7 +59,7 @@ from .braidword import (
     BraidWord,
     NormalForm,
     TwistLetter,
-    gamma_letters,
+    _twist_runs,
     joins,
     to_normal_form,
     twist_modulus,
@@ -268,18 +267,14 @@ def _automaton(n: int) -> MassAutomaton:
     return _AUTOMATA[n]
 
 
-def _conjugator(n: int, peeled: list[TwistLetter]) -> BraidWord:
-    """c with c * beta * c^-1 the final conjugate, for letters peeled in this order.
+def _conjugator(n: int, peeled: list[list]) -> BraidWord:
+    """c with c * beta * c^-1 the final conjugate, for [letter, count] runs peeled in this order.
 
-    Each round conjugates by the peeled letter sigma_{gamma^j P_i} =
-    gamma^j s_i gamma^-j, so c is the inverse of their product.
+    Each round conjugates by the peeled letter sigma_{gamma^j P_i}, so c
+    is the inverse of their product: the inverse letter powers, last
+    peeled first, spelled by ``braidword._twist_runs``.
     """
-    runs: list[tuple[int, int]] = []
-    for letter, group in groupby(reversed(peeled)):
-        runs += gamma_letters(letter.index)
-        runs.append((letter.family, -len(list(group))))
-        runs += gamma_letters(-letter.index)
-    return BraidWord(n, tuple(runs))
+    return BraidWord(n, _twist_runs(((letter, -k) for letter, k in reversed(peeled)), 0))
 
 
 def classify(n: int, w: BraidWord) -> ClassificationResult:
@@ -291,10 +286,15 @@ def classify(n: int, w: BraidWord) -> ClassificationResult:
     blocks = [[letter, mult] for letter, mult in first.blocks]
     lo, hi = 0, len(blocks) - 1  # the live blocks are blocks[lo : hi + 1]
     total, s = first.twist_count(), first.gamma_exp
-    peeled: list[TwistLetter] = []  # conjugating twist letters, in order
+    # conjugating twist letters in peel order, as [letter, count] runs: a
+    # run is one block, and adjacent blocks carry distinct letters
+    peeled: list[list] = []
     while total >= 2 and not joins(n, blocks[hi][0], s, blocks[lo][0]):
         # shorten: b_1 gamma^s b_k = gamma^(s+1) after pushing gammas right
-        peeled.append(blocks[hi][0])
+        if peeled and peeled[-1][0] is blocks[hi][0]:
+            peeled[-1][1] += 1
+        else:
+            peeled.append([blocks[hi][0], 1])
         blocks[lo][1] -= 1
         blocks[hi][1] -= 1
         if blocks[lo][1] == 0:
@@ -303,9 +303,10 @@ def classify(n: int, w: BraidWord) -> ClassificationResult:
             hi -= 1
         total -= 2
         s += 1
-    nf = NormalForm(n, tuple((letter, mult) for letter, mult in blocks[lo : hi + 1]), s)
+    # a list into tuple(), as in braidword.to_normal_form: no resized tuples
+    nf = NormalForm(n, tuple([(letter, mult) for letter, mult in blocks[lo : hi + 1]]), s)
     conj = _conjugator(n, peeled)
-    rounds = len(peeled)
+    rounds = s - first.gamma_exp  # each round pushed one gamma
 
     if total == 0:
         # beta = gamma^s, so beta^n = gamma^(s n)

@@ -91,11 +91,21 @@ _finite_real = _checked(lambda text: float(text) + 0.0, math.isfinite, "a finite
 _nonnegative_int = _checked(int, lambda k: k >= 0, "an integer >= 0")
 
 
+# The largest entry of a nonnegative 2x2 matrix is at least half its PF
+# eigenvalue, so past this h0 an entry of matrix_at_0 is past the floats.
+# (log(2 * max) would overflow.)
+_LOG_FLOAT_MAX_TIMES_2 = math.log(2) + math.log(sys.float_info.max)
+
+
 def _classification_report(res: ClassificationResult) -> dict:
+    h0 = res.h0()
+    if res.braid_type == "pseudo_anosov" and h0 > _LOG_FLOAT_MAX_TIMES_2 + 1e-9 * h0:
+        # fail as the first entry of matrix_at_0 would, before M(p) is built
+        _finite(math.inf)
     report = {
         "n": res.n,
         "type": res.braid_type,
-        "h0": _round(res.h0()),
+        "h0": _round(h0),
         "growth": res.growth.to_json(),
         "normal_form": {
             "blocks": [

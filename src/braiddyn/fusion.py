@@ -212,8 +212,8 @@ class _Node(NamedTuple):
     Each entry maps a label to its polynomial in s as a little-endian
     byte string of ``size``-byte slots, slot i holding the coefficient of
     s^i plus half a slot (the bias turns balanced digits nonnegative).
-    Every coefficient fits ``fit`` bytes in two's complement, and none
-    sits past slot ``span`` - 1.
+    Every coefficient fits ``fit`` bytes in two's complement, and the
+    nonzero ones lie within ``span`` consecutive slots.
     """
 
     size: int
@@ -443,11 +443,27 @@ def _node_mul(table, x: _Node, y: _Node) -> _Node:
         tuple({a: _repack(buf, m.size, m.fit, size) for a, buf in e.items()} for e in m.entries)
         for m in (x, y)
     )
-    entries = tuple(
-        {a: _biased(v, size) for a, v in entry.items() if v} for entry in _packed_mul(table, xs, ys)
-    )
+    product = _packed_mul(table, xs, ys)
+    entries = tuple({a: _biased(v, size) for a, v in entry.items() if v} for entry in product)
     fit = max((_fit(buf, size) for entry in entries for buf in entry.values()), default=1)
-    return _Node(size, fit, x.span + y.span - 1, entries)
+    return _Node(size, fit, _span(product, size), entries)
+
+
+def _span(product, size: int) -> int:
+    """The slots from the lowest to the highest nonzero coefficient of packed entries, at least 1.
+
+    Every coefficient is below half a slot in absolute value, so a packed
+    int whose top nonzero coefficient sits in slot t has a bit length in
+    [8 size t, 8 size (t + 1)); one whose lowest sits in slot t is
+    divisible by 2^(8 size t) and has a nonzero bit in that slot.
+    """
+    ints = [v for entry in product for v in entry.values() if v]
+    if not ints:
+        return 1
+    w = 8 * size
+    high = max(abs(v).bit_length() for v in ints) // w
+    low = min((v & -v).bit_length() - 1 for v in ints) // w
+    return high - low + 1
 
 
 _BLOCK = 1024  # slots compared at once when reading: a zero block costs one comparison
@@ -523,9 +539,8 @@ def _group_product(table, group, size: int) -> _Node:
         return _power(partial(_node_mul, table), lf.node, mult)
     mul = partial(_packed_mul, table)
     root = _pairwise(mul, [_power(mul, lf.fixed(size), mult) for lf, mult in group])
-    span = sum(mult * (lf.node.span - 1) for lf, mult in group) + 1
     entries = tuple({a: _biased(v, size) for a, v in entry.items() if v} for entry in root)
-    return _Node(size, size, span, entries)
+    return _Node(size, size, _span(root, size), entries)
 
 
 def product_tree(n: int, runs) -> tuple[dict[int, list[int]], ...]:

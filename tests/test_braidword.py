@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from braiddyn.braidword import (
     TwistLetter,
     WordSyntaxError,
     _burau_generators,
+    _letter_table,
     burau,
     burau_equal,
     coxeter_matrix,
@@ -26,7 +28,14 @@ from braiddyn.braidword import (
     to_normal_form,
     twist_modulus,
 )
+from braiddyn.classify import _conjugator
 from braiddyn.fusion import leaf, product_tree
+from letter_oracle import (
+    conjugator_by_blocks,
+    joins_by_vertices,
+    normal_form_by_letters,
+    word_by_blocks,
+)
 from test_fusion import oracle_laurent_dot
 
 
@@ -256,23 +265,67 @@ def test_runs_agree_with_letters(n, runs):
     assert w.inverse().letters == oracle_free_reduce(tuple((g, -s) for g, s in reversed(letters)))
 
 
+# every n from 3 to 16, and odd and even n up to MAX_N
+LETTER_NS = [*range(3, 17), 17, 31, 64, 127, 128]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(3, 16), run_lists)
+@given(st.sampled_from(LETTER_NS), run_lists)
 def test_normal_form_matches_letter_level_oracle(n, runs):
     w = BraidWord(n, tuple(runs))
-    assert to_normal_form(w) == oracle_to_normal_form(w)
+    nf = to_normal_form(w)
+    assert nf == oracle_to_normal_form(w) == normal_form_by_letters(w)
+    # the letters are the one object per letter of make_twist
+    assert all(letter is make_twist(n, letter.family, letter.index) for letter, _ in nf.blocks)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 17, 64, 127, 128])
 def test_normal_form_of_long_runs_matches_oracle(n):
     rng = random.Random(700 + n)
-    for _ in range(20):
-        runs = tuple(
+    cases = [
+        tuple(
             (rng.choice((1, 2)), rng.choice((1, -1)) * rng.randint(1, 400))
             for _ in range(rng.randint(1, 6))
         )
+        for _ in range(20)
+    ]
+    # long negative runs go letter by letter, one block per step or a collapse
+    cases += [((1, -2000),), ((2, -2000),), ((1, -1500), (2, 3)), ((2, -700), (1, -900))]
+    cases += [
+        tuple((rng.choice((1, 2)), -rng.randint(300, 1200)) for _ in range(rng.randint(2, 4)))
+        for _ in range(4)
+    ]
+    for runs in cases:
         w = BraidWord(n, runs)
-        assert to_normal_form(w) == oracle_to_normal_form(w), w.text()
+        assert to_normal_form(w) == oracle_to_normal_form(w) == normal_form_by_letters(w), w.text()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LETTER_NS), st.data())
+def test_letter_table_is_the_vertex_pair_rule(n, data):
+    # the ban table read is the vertex-tuple rule, for every letter pair
+    m, letters, ban = _letter_table(n)
+    g = data.draw(st.integers(-2 * m, 2 * m))
+    assert len(letters) == (m if n % 2 else 2 * m) == len(ban)
+    for code, x in enumerate(letters):
+        assert target_vertex(n, x) == (("v", code) if code < m else ("u", code - m))
+        assert make_twist(n, x.family, x.index + m) is x
+        for y in letters:
+            assert joins(n, x, g, y) == joins_by_vertices(n, x, g, y), (x, g, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LETTER_NS), run_lists, st.data())
+def test_spellers_match_block_by_block_spelling(n, runs, data):
+    # gamma^(j_next - j_prev) between powers is what spelling each power on
+    # its own leaves after free reduction
+    nf = to_normal_form(BraidWord(n, tuple(runs)))
+    nf = NormalForm(n, nf.blocks, nf.gamma_exp + data.draw(st.integers(-3 * n, 3 * n)))
+    assert nf.to_word().runs == word_by_blocks(nf).runs
+    letters = _letter_table(n).letters
+    peeled = data.draw(st.lists(st.sampled_from(letters), max_size=20))
+    grouped = [[x, len(list(group))] for x, group in groupby(peeled)]
+    assert _conjugator(n, grouped).runs == conjugator_by_blocks(n, peeled).runs
 
 
 # --- Burau -------------------------------------------------------------------
@@ -486,6 +539,14 @@ def test_twist_index_mod_identities():
 def test_odd_sigma2_normalisation():
     assert make_twist(5, 2, 0) == TwistLetter(1, 3)
     assert make_twist(7, 2, 0) == TwistLetter(1, 4)
+
+
+def test_letters_outside_the_twist_alphabet_are_rejected():
+    with pytest.raises(ValueError):
+        make_twist(4, 3, 0)
+    for n, letter in [(4, TwistLetter(3, 0)), (5, TwistLetter(2, 0)), (6, TwistLetter(1, 3))]:
+        with pytest.raises(ValueError):
+            NormalForm(n, ((letter, 1),), 0)
 
 
 def test_target_and_forbidden_vertices():

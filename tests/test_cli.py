@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import braiddyn
+from braiddyn import automaton as am
 from braiddyn.braidword import MAX_N
 from braiddyn.cli import main
+from braiddyn.fusion import MassPoly
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -318,6 +320,43 @@ def test_matrix_entry_past_the_floats_exit_code(capsys):
     # the text report prints no matrix, so it answers
     code, out, _ = run(capsys, ["classify", "--n", "3", "--word", word])
     assert code == 0 and out.startswith("pseudo_anosov")
+
+
+def test_growth_past_the_floats_fails_before_the_exact_matrix(capsys, monkeypatch):
+    # the largest entry of M(p) at t = 0 is at least PF/2, so past
+    # h0 = log(2 * float max) (710.48) matrix_at_0 cannot be finite: the
+    # report fails before building M(p); (s1^3 s2^-3)^k at n=8 has
+    # h0 = 3.487 k, so k = 210 (h0 = 732.3) fails and k = 200 (697.5) does not
+    def no_matrix(auto, path):
+        raise AssertionError("the exact path matrix was built")
+
+    monkeypatch.setattr(am, "path_matrix", no_matrix)
+    word = " ".join(["s1^3 s2^-3"] * 210)
+    code, out, err = run(capsys, ["classify", "--n", "8", "--word", word, "--json"])
+    assert (code, out, err) == (4, "", "error: a computed real is not finite: inf\n")
+
+    # below the threshold the report goes on to M(p); the identity stands in
+    # for its 10 s build, and the report prints
+    built = []
+
+    def identity_matrix(auto, path):
+        built.append(path)
+        one, zero = MassPoly.one(auto.n), MassPoly.zero(auto.n)
+        return ((one, zero), (zero, one))
+
+    monkeypatch.setattr(am, "path_matrix", identity_matrix)
+    word = " ".join(["s1^3 s2^-3"] * 200)
+    code, out, err = run(capsys, ["classify", "--n", "8", "--word", word, "--json"])
+    assert code == 0 and err == "" and len(built) == 1
+    report = json.loads(out)
+    assert report["type"] == "pseudo_anosov" and report["h0"] == pytest.approx(697.4587, abs=1e-3)
+
+    # under the threshold an entry can still be past the floats: at n=3,
+    # (s1 s2^-1)^738 has h0 = 710.27, and the exact route fails the same way
+    monkeypatch.undo()
+    word = " ".join(["s1 s2^-1"] * 738)
+    code, out, err = run(capsys, ["classify", "--n", "3", "--word", word, "--json"])
+    assert (code, out, err) == (4, "", "error: a computed real is not finite: inf\n")
 
 
 @pytest.mark.parametrize("n, word", [(3, "s1 s2 s1"), (3, "s2 s1 s2"), (5, "s1 s2 s1 s2 s2")])

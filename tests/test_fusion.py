@@ -508,10 +508,42 @@ def test_cancelling_products_keep_narrow_slots(n):
     identity = {0: (1,) + (0,) * (n - 2)}
     runs = [(g[1, 1], 1), (g[2, 1], 1), (g[2, -1], 1), (g[1, -1], 1)] * 500
     assert kernel_rows(product_tree(n, runs)) == (identity, {}, {}, identity)
-    assert measured_root(n, runs).size <= 8  # bytes; the bound in advance needs hundreds
+    # bytes; the bound in advance needs hundreds.  Each product's span is
+    # measured, so once the entries cancel to s^0 it counts one term per
+    # coefficient (the span x.span + y.span - 1 gave 4, 4 and 6 bytes)
+    root = measured_root(n, runs)
+    assert root.size <= {3: 3, 5: 3, 8: 5}[n] and root.span == 1
     if n == 3:
         root = measured_root(3, [(g[2, 1], 1), (g[1, 1], 1)] * 3000)
-        assert root.size <= 4 and root.fit == 1
+        assert root.size <= 3 and root.fit == 1 and root.span == 1
+
+
+@st.composite
+def packed_entries(draw):
+    """Up to four entries of packed ints, their nonzero (exponent -> coefficient), the slot size."""
+    size = draw(st.integers(1, 3))
+    half = 2 ** (8 * size - 1)
+    small = min(300, half - 1)
+    coeff = st.one_of(st.integers(-small, small), st.sampled_from([1 - half, half - 1]))
+    entries, terms = [], {}
+    for _ in range(draw(st.integers(1, 4))):
+        entry = {}
+        for label in range(draw(st.integers(0, 3))):
+            digits = draw(st.dictionaries(st.integers(0, 60), coeff, max_size=6))
+            entry[label] = sum(d << (8 * size * e) for e, d in digits.items())
+            terms.update({e: d for e, d in digits.items() if d})
+        entries.append(entry)
+    return tuple(entries), terms, size
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_entries())
+def test_span_is_the_width_of_the_nonzero_slots(case):
+    # every coefficient below half a slot: the lowest and highest nonzero
+    # slots are read off the ints' lowest set bit and bit length
+    entries, terms, size = case
+    want = max(terms) - min(terms) + 1 if terms else 1
+    assert fusion._span(entries, size) == want
 
 
 def test_mass_mul_of_a_long_operand():
