@@ -39,11 +39,14 @@ Classification never forms the exact product of a path.  Its zero
 pattern is the product of the arrows' 2x2 Boolean supports: the supports
 are read from the exact entries, and a product of nonzero entries with
 nonnegative coefficients is never zero, so the Boolean product is exact.
-The growth h_t = log PF(M(p))(t) comes from a float product at t: each
-distinct arrow is evaluated once per call from its compiled float table
-(``Arrow.float_table``), each run is raised to its multiplicity by
-repeated squaring, and every product is rescaled with its scale kept as
-a log.  Both cost O(distinct arrows + runs * log multiplicity).
+The growth h_t = log PF(M(p))(t) comes from a float product at t.  An
+arrow is evaluated from its compiled float table (``Arrow.float_table``)
+once per (automaton, t): the evaluation is kept on the arrow
+(``Arrow.at_t``) for its last few values of t.  Each run is raised to its
+multiplicity by repeated squaring on four floats whose scale is an exact
+power of two, and the arrows' levels are summed as integers, so neither
+drifts with the multiplicities.  The pattern costs O(runs * log
+multiplicity), and so does h_t once its arrows are evaluated at t.
 ``path_matrix``, ``zero_pattern`` and ``pf_eigenvalue`` are the exact
 route, used when the matrix itself is wanted; ``path_matrix`` hands the
 runs to ``fusion.product_tree``, which raises each to its multiplicity by
@@ -90,6 +93,11 @@ VertexId = tuple[str, int]
 MassMatrix = tuple[tuple[MassPoly, MassPoly], tuple[MassPoly, MassPoly]]
 Support = tuple[tuple[bool, bool], tuple[bool, bool]]  # entry is nonzero
 FloatTable = tuple[int, int, tuple[tuple[int, int, float], ...]]
+ArrowAtT = tuple[float, float, float, float, int]  # (p, q, r, s, level), see _eval_arrow
+
+_KEPT_T = 4  # values of t at which each arrow keeps its evaluation (Arrow.at_t)
+_WINDOW = (2.0**-64, 2.0**64)  # log_pf rescales when the largest entry leaves it
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -136,6 +144,15 @@ class Arrow:
         )
         levels = [e for _, e, _ in terms]
         return min(levels), max(levels), terms
+
+    @cached_property
+    def at_t(self) -> dict[float, ArrowAtT]:
+        """t -> ``_eval_arrow(self, t)`` for the last ``_KEPT_T`` values of t, oldest first.
+
+        Filled by ``log_pf``; a value of t is evaluated again only after
+        ``_KEPT_T`` newer ones have pushed it out.
+        """
+        return {}
 
 
 @dataclass(frozen=True)
@@ -425,52 +442,88 @@ def _bool_mul(x, y):
     )
 
 
-def _eval_arrow(arrow: Arrow, t: float) -> tuple[float, float, float, float, float]:
-    """(p, q, r, s, top): the arrow at t is exp(top) [[p, q], [r, s]].
+def _eval_arrow(arrow: Arrow, t: float) -> ArrowAtT:
+    """(p, q, r, s, level): the arrow at t is exp(level t) [[p, q], [r, s]].
 
-    top is the largest level times t, so no term exp(e t - top) overflows.
+    level is the highest level for t >= 0 and the lowest for t < 0, so
+    level t is the largest e t and no term exp(e t - level t) overflows.
     """
     lo, hi, terms = arrow.float_table
-    top = hi * t if t >= 0 else lo * t
+    level = hi if t >= 0 else lo
+    top = level * t
     m = [0.0, 0.0, 0.0, 0.0]
     exp = math.exp
     for k, e, w in terms:
         m[k] += w * exp(e * t - top)
-    return m[0], m[1], m[2], m[3], top
+    return m[0], m[1], m[2], m[3], level
 
 
-def _scaled_mul(x, y):
-    """x y for matrices held as (a, b, c, d, log scale), divided by the largest entry.
+def _evaluated(arrow: Arrow, t: float) -> ArrowAtT:
+    """``_eval_arrow(arrow, t)``, kept in ``Arrow.at_t``; the oldest t is dropped first."""
+    kept = arrow.at_t
+    if len(kept) >= _KEPT_T:
+        kept.pop(next(iter(kept)), None)  # None: another thread may have dropped it already
+    kept[t] = x = _eval_arrow(arrow, t)
+    return x
 
-    y's scale is added last, so a product of single arrows sums its
-    scales in the order of a plain left-to-right fold.
+
+def _rescaled(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float, int]:
+    """(a, b, c, d) times 2^-e, and e, so that the largest entry is in [1/2, 1).
+
+    Scaling by a power of two is exact; all-zero entries stay as they are.
     """
-    p, q, r, s, lx = x
-    a, b, c, d, ly = y
-    a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
-    big = max(a, b, c, d)
-    return a / big, b / big, c / big, d / big, ly + (lx + math.log(big))
+    e = math.frexp(max(a, b, c, d))[1]
+    ldexp = math.ldexp
+    return ldexp(a, -e), ldexp(b, -e), ldexp(c, -e), ldexp(d, -e), e
 
 
 def log_pf(path: PathWitness, t: float) -> float:
-    """``log pf_eigenvalue(path_matrix(auto, path), t)`` from a rescaled float product.
+    """``log pf_eigenvalue(path_matrix(auto, path), t)`` from an exactly rescaled float product.
 
-    Each distinct arrow is evaluated at t once per call (``_eval_arrow``)
-    and a run is raised to its multiplicity by repeated squaring, so the
-    cost is the distinct arrows' terms plus runs * log mult 2x2 products.
-    Every product is divided by its largest entry and the scales are
-    summed in the log domain, so no step overflows however large |t| is.
+    Each arrow is evaluated at t once and kept on the arrow for its last
+    ``_KEPT_T`` values of t (``Arrow.at_t``), so a call costs only its
+    runs: the product is folded on four floats, and a run is raised to
+    its multiplicity by repeated squaring, in O(runs * log mult) 2x2
+    products.  The scale is an integer power of two, changed only when
+    the largest entry leaves [2^-64, 2^64], and the arrows' levels are
+    summed as the integer sum of mult * level, multiplied by t once at the
+    end; so no step overflows however large |t| is, and the scale does
+    not drift with the multiplicities.
     """
-    at_t: dict[int, tuple] = {}  # id(arrow) -> _eval_arrow(arrow, t), for this call only
-    acc = (1.0, 0.0, 0.0, 1.0, 0.0)
+    if not path.runs:
+        return 0.0  # the identity matrix
+    lo, hi = _WINDOW
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    scale = level = 0  # the product is 2^scale exp(level t) [[a, b], [c, d]]
     for arrow, mult in path.runs:
-        x = at_t.get(id(arrow))
+        x = arrow.at_t.get(t)
         if x is None:
-            x = at_t[id(arrow)] = _eval_arrow(arrow, t)
-        acc = _scaled_mul(_power(_scaled_mul, x, mult), acc)
-    a, b, c, d, log_scale = acc
+            x = _evaluated(arrow, t)
+        p, q, r, s, x_level = x
+        level += mult * x_level
+        x_scale = 0  # the current power of the arrow is 2^x_scale [[p, q], [r, s]]
+        while True:
+            if mult & 1:
+                a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+                scale += x_scale
+                if a > hi or b > hi or c > hi or d > hi or (
+                    a < lo and b < lo and c < lo and d < lo
+                ):
+                    a, b, c, d, e = _rescaled(a, b, c, d)
+                    scale += e
+            mult >>= 1
+            if not mult:
+                break
+            p, q, r, s = p * p + q * r, q * (p + s), r * (p + s), s * s + q * r
+            x_scale += x_scale
+            if p > hi or q > hi or r > hi or s > hi or (
+                p < lo and q < lo and r < lo and s < lo
+            ):
+                p, q, r, s, e = _rescaled(p, q, r, s)
+                x_scale += e
     pf = 0.5 * (a + d + math.sqrt((a - d) * (a - d) + 4.0 * b * c))
-    return math.log(pf) + log_scale
+    mantissa, e = math.frexp(pf)
+    return math.log(mantissa) + (scale + e) * _LN2 + level * t
 
 
 def pf_eigenvalue(matrix: MassMatrix, t: float) -> float:

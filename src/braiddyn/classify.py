@@ -26,9 +26,9 @@ once, through the checking constructor; the conjugate and the conjugator
 are spelled out as words once, when the verdict is returned.
 The zero pattern comes from the Boolean product of the arrow runs'
 supports (``automaton.path_zero_pattern``) and the pseudo-Anosov growth
-from a rescaled float product of the runs (``automaton.log_pf``), both
-with powers by repeated squaring, so classification forms
-no exact matrix product.  The exact matrix M(p) is built on first read
+from an exactly rescaled float product of the runs (``automaton.log_pf``),
+both with powers by repeated squaring, so classification forms no exact
+matrix product.  The exact matrix M(p) is built on first read
 of ``ClassificationResult.matrix`` or ``LogPFGrowth.matrix`` (the two
 share one build) and kept with the result.
 
@@ -134,11 +134,13 @@ class LogPFGrowth:
     """h_t = log of the Perron-Frobenius eigenvalue of a closed-path matrix M(p).
 
     ``evaluate`` multiplies the path's arrow runs in floats at t
-    (``automaton.log_pf``): each distinct arrow is evaluated once, each
-    run is raised to its multiplicity by repeated squaring, so one call
-    costs O(distinct arrows + runs * log multiplicity), and every product
-    is rescaled, so it does not overflow at large |t|.  The exact
-    ``matrix`` is built on first read and kept.
+    (``automaton.log_pf``).  Each arrow is evaluated once per
+    (automaton, t) and kept on the arrow for its last few values of t,
+    and each run is raised to its multiplicity by repeated squaring, so
+    a call at a recent t costs O(runs * log multiplicity).  The scale is
+    an exact power of two and the levels an integer sum, so the value
+    does not overflow at large |t| or drift with the multiplicities.  The
+    exact ``matrix`` is built on first read and kept.
     """
 
     auto: MassAutomaton = field(repr=False, compare=False)

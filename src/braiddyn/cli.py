@@ -26,7 +26,9 @@ on stderr), 4 a computation error such as ``estimate --steps 1``, an
 error from the guards of the classification loop or of the estimator, a
 word that needs more conjugation rounds than ``classify --max-iter``
 allows, or a computed real that is not finite, such as ``h_t`` at
-``--t 1e308`` (one ``error: ...`` line on stderr).
+``--t 1e308`` (one ``error: ...`` line on stderr), 1 the reader of
+standard output went away before the output was written, as in
+``braiddyn classify ... --word - | head -1`` (nothing on stderr).
 Reals are printed with 9 decimal places by default; the environment
 variable BRAIDDYN_PRECISION overrides this.  A real that rounds to zero
 is printed as 0, never as -0.  Output is valid JSON and
@@ -310,14 +312,21 @@ def main(argv: list[str] | None = None) -> int:
     if not 3 <= args.n <= MAX_N:
         print(f"invalid n={args.n}: need 3 <= n <= {MAX_N}", file=sys.stderr)
         return 3
+    run = {
+        "classify": _run_classify,
+        "burau": _run_burau,
+        "automaton": _run_automaton,
+        "estimate": _run_estimate,
+    }[args.command]
     try:
-        if args.command == "classify":
-            return _run_classify(args)
-        if args.command == "burau":
-            return _run_burau(args)
-        if args.command == "automaton":
-            return _run_automaton(args)
-        return _run_estimate(args)
+        code = run(args)
+        sys.stdout.flush()  # a reader that went away shows up here at the latest
+        return code
+    except BrokenPipeError:
+        # e.g. `| head -1`: the rest of the output has no reader.  Point
+        # stdout at devnull so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except WordSyntaxError as exc:
         print(f"word syntax error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from braiddyn.automaton import (
     Arrow,
     PathWitness,
+    _KEPT_T,
     _arrow_matrix,
+    _eval_arrow,
     build,
     joins,
     log_pf,
@@ -591,14 +593,20 @@ def assert_runs_match_folds(path):
     route, so 2 L ulps are allowed on top.
     """
     assert _outcome(path_zero_pattern, path) == _outcome(fold_zero_pattern, path)
-    length = sum(mult for _, mult in path.runs)
     for t in T_GRID:
-        got, want = _outcome(log_pf, path, t), _outcome(fold_log_pf, path, t)
-        if isinstance(want, str):
-            assert got == want, t
-            continue
-        bound = 1e-12 * max(1.0, abs(want)) + 2 * length * sys.float_info.epsilon
-        assert abs(got - want) <= bound, (t, got, want)
+        assert_log_pf_matches_fold(path, t)
+
+
+def assert_log_pf_matches_fold(path, t):
+    """log_pf(path, t) against ``fold_log_pf``, within the bound above; returns log_pf's outcome."""
+    got, want = _outcome(log_pf, path, t), _outcome(fold_log_pf, path, t)
+    if isinstance(want, str):
+        assert got == want, t
+        return got
+    length = sum(mult for _, mult in path.runs)
+    bound = 1e-12 * max(1.0, abs(want)) + 2 * length * sys.float_info.epsilon
+    assert abs(got - want) <= bound, (t, got, want)
+    return got
 
 
 @settings(max_examples=150, deadline=None)
@@ -649,6 +657,69 @@ def test_run_length_folds_on_a_loop_taken_100000_times(n):
     assert loop.source == loop.target and mult == 10**5 - 1
     assert path.arrows == simulate(auto, letters_applied(nf), path.start)
     assert_runs_match_folds(path)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 16])
+def test_log_pf_scale_does_not_drift_on_a_long_run(n):
+    # one loop run of N steps: h_t = N (log rho(X) + level t), X and level
+    # from _eval_arrow.  A loop matrix is triangular, so rho(X) = max(p, s).
+    # The scale is a power of two and the levels an integer sum, both
+    # exact, so even N = 2^62 stays within 1e-12; a scale summed as float
+    # logs drifts by about N ulps
+    loops = [arrow for arrow in _AUTOMATA[n].arrows if arrow.source == arrow.target]
+    assert loops
+    for loop in loops:
+        for N in (10**6, 2**40, 2**62):
+            path = PathWitness(loop.source, ((loop, N),), True)
+            for t in (0.0, 0.5, -0.5, 1000.0, -1000.0):
+                p, q, r, s, level = _eval_arrow(loop, t)
+                assert q * r == 0
+                want = N * (math.log(max(p, s)) + level * t)
+                got = log_pf(path, t)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (loop.label, N, t, got)
+
+
+# more values than an arrow keeps, so kept evaluations are pushed out and redone
+T_POOL = (-1000.0, -40.0, -3.0, -0.5, -0.0, 0.0, 0.25, 0.5, 3.0, 1000.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    normal_forms(mults=LONG_MULTS),
+    st.booleans(),
+    st.lists(st.sampled_from(T_POOL), min_size=1, max_size=30),
+)
+def test_kept_arrow_evaluations_match_folds(nf, require_closed, ts):
+    path = recognize(_AUTOMATA[nf.n], nf, require_closed=require_closed)
+    first: dict[str, object] = {}
+    for t in ts:
+        got = assert_log_pf_matches_fold(path, t)
+        # a repeated t gives the identical float (or error), kept or not
+        assert repr(first.setdefault(repr(t), got)) == repr(got), t
+        assert all(len(arrow.at_t) <= _KEPT_T for arrow, _ in path.runs)
+    for t in (math.nan, math.inf, -math.inf):
+        # the empty path is the identity, whose h_t is 0 at every t
+        assert repr(log_pf(path, t)) == ("nan" if path.runs else "0.0"), t
+    for t in (1e308, -1e308):
+        # e t overflows for |e| >= 2: an arrow whose top term is then
+        # inf - inf makes both routes nan.  Otherwise the fold's float sum of
+        # scales may overflow or absorb its log terms, so only nan is compared
+        got = log_pf(path, t)
+        assert not math.isnan(got) or math.isnan(fold_log_pf(path, t)), t
+
+
+def test_kept_arrow_evaluations_stay_bounded():
+    # counting, not timing: after 10^4 distinct t, the arrows of the path
+    # hold the last _KEPT_T values of t and no other arrow holds any
+    auto = build(5)  # not shared with other tests
+    path = recognize(auto, to_normal_form(BraidWord(5, ((1, 2), (2, -1), (1, 1), (2, -3)))))
+    ts = [k / 64 - 70.0 for k in range(10**4)]
+    for t in ts:
+        log_pf(path, t)
+    on_path = {id(arrow) for arrow, _ in path.runs}
+    for arrow in auto.arrows:
+        want = ts[-_KEPT_T:] if id(arrow) in on_path else []
+        assert list(arrow.at_t) == want, arrow.label_text()
 
 
 # --- the product tree against the left-to-right fold ----------------------------

@@ -14,6 +14,7 @@ from braiddyn.braidword import (
     burau,
     burau_equal,
     joins,
+    make_twist,
     parse_word,
     to_normal_form,
     twist_modulus,
@@ -733,21 +734,30 @@ def _log_domain_log_pf(matrix, t):
 def test_long_run_is_a_few_arrow_runs(monkeypatch):
     # counting, not timing: the block twist1[0]^200001 is its entry arrow
     # and one loop run, so the path has at most 4 twist runs after the
-    # |gamma_exp| gamma steps, and log_pf evaluates each distinct arrow
-    # once and squares the loop about log2(200000) times
+    # |gamma_exp| gamma steps; log_pf evaluates each distinct arrow once
+    # per t, a second call at the same t evaluates none, and a run is
+    # raised by squaring, so even 2^62 steps of a loop finish
     res = classify(5, parse_word("s1^200000 s2^-3", 5))
     assert res.braid_type == "pseudo_anosov"
     gammas = abs(res.normal_form.gamma_exp)
     assert all(isinstance(arrow.label, int) for arrow, _ in res.path.runs[:gammas])
     assert len(res.path.runs) - gammas <= 4
     assert sum(mult for _, mult in res.path.runs) == 200006
-    evals, products = [], []
-    real_eval, real_mul = am._eval_arrow, am._scaled_mul
+    evals = []
+    real_eval = am._eval_arrow
     monkeypatch.setattr(am, "_eval_arrow", lambda *a: evals.append(1) or real_eval(*a))
-    monkeypatch.setattr(am, "_scaled_mul", lambda *a: products.append(1) or real_mul(*a))
-    assert math.isfinite(res.growth.evaluate(0.5))
+    t = 0.4375  # no other test evaluates at this t, so no arrow keeps it yet
+    h = res.growth.evaluate(t)
+    assert math.isfinite(h)
     assert len(evals) == len({id(arrow) for arrow, _ in res.path.runs})
-    assert len(products) <= 2 * (200000).bit_length()
+    evals.clear()
+    assert res.growth.evaluate(t) == h and evals == []
+    # the loop twist1[0] at v0 is [[s^-1, [Pi_1]], [0, 1]]: h_t of its
+    # k-th power is k max(0, -t)
+    loop = am.build(5).twist_arrows[(make_twist(5, 1, 0), ("v", 0))]
+    path = am.PathWitness(("v", 0), ((loop, 2**62),), True)
+    for t in (-0.5, 0.0, 0.5):
+        assert am.log_pf(path, t) == 2**62 * max(0.0, -t)
 
 
 def test_long_run_growth_matches_exact_matrix():

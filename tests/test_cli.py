@@ -472,3 +472,28 @@ def test_cli_import_leaves_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["(2,", "2)", "5"]
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_closed_pipe_exits_quietly(tmp_path, json_flag):
+    # like `... --word - | head -1`: the reader closes after one line while
+    # most of the output is still unwritten (far more than a pipe buffers)
+    words = tmp_path / "words.txt"
+    words.write_text("s1 s2^-1\n" * 4000)
+    src = str(Path(braiddyn.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with words.open("rb") as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "braiddyn.cli", "classify", "--n", "5", *json_flag,
+             "--word", "-"],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+    assert first.startswith(b"{" if json_flag else b"pseudo_anosov")
+    assert stderr == b""
+    assert code == 1
