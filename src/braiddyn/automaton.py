@@ -62,6 +62,7 @@ from functools import cached_property
 from .braidword import (
     NormalForm,
     TwistLetter,
+    _code,
     check_n,
     forbidden_source,
     joins,
@@ -183,6 +184,20 @@ class MassAutomaton:
     arrows: tuple[Arrow, ...]
     twist_arrows: dict[tuple[TwistLetter, VertexId], Arrow]
     gamma_arrows: dict[tuple[int, VertexId], Arrow]
+
+    @cached_property
+    def _twist_table(self) -> tuple[tuple[Arrow | None, ...], ...]:
+        """``twist_arrows`` as ``[letter code][source code]``, with None at forbidden sources.
+
+        Codes are those of ``braidword._letter_table``, and a vertex has the
+        code of the letters into it (v_j is j, u_j is m + j), so a lookup
+        is two index reads and hashes no ``TwistLetter``.
+        """
+        m = twist_modulus(self.n)
+        table: list[list[Arrow | None]] = [[None] * len(self.vertices) for _ in self.vertices]
+        for (letter, (kind, j)), arrow in self.twist_arrows.items():
+            table[_code(m, letter)][j if kind == "v" else m + j] = arrow
+        return tuple(tuple(row) for row in table)
 
     def vertex_order(self) -> list[VertexId]:
         """v_0, v_1, ..., then u_0, u_1, ...: the order ``build`` inserts vertices in."""
@@ -313,7 +328,9 @@ def recognize(
     as a scan of every start in that order would return.  Then gamma^s is
     one run per step, and a block b^mult is the arrow of b at the current
     vertex followed by the loop of b at its target, taken mult - 1 times
-    (one run when the two coincide): at most two arrow lookups per block.
+    (one run when the two coincide): at most two arrow lookups per block,
+    each two index reads in ``MassAutomaton._twist_table`` by letter and
+    vertex code.
     """
     n, m = auto.n, twist_modulus(auto.n)
     starts = iter(auto.vertices)  # v_0, v_1, ..., u_0, ...
@@ -336,17 +353,22 @@ def recognize(
         arrow = auto.gamma_arrows[(step, cur)]
         runs.append((arrow, 1))
         cur = arrow.target
+    table = auto._twist_table
+    c = cur[1] if cur[0] == "v" else m + cur[1]  # the code of the current vertex
     for letter, mult in nf.blocks:
-        entry = auto.twist_arrows[(letter, cur)]
-        cur = entry.target
-        loop = auto.twist_arrows[(letter, cur)]  # a letter can always follow itself
+        x = _code(m, letter)
+        entry = table[x][c]
+        if entry is None:
+            raise ValueError(f"{letter.label()} cannot leave the vertex of code {c}")
+        loop = table[x][x]  # a letter can always follow itself, and ends at vertex x
         if loop is entry:
             runs.append((entry, mult))
         else:
             runs.append((entry, 1))
             if mult > 1:
                 runs.append((loop, mult - 1))
-    return PathWitness(start, tuple(runs), cur == start)
+        c = x
+    return PathWitness(start, tuple(runs), (runs[-1][0].target if runs else start) == start)
 
 
 def recognizes_word(auto: MassAutomaton, letters: list[TwistLetter | int]) -> bool:

@@ -4,8 +4,10 @@ A ``BraidWord`` is a freely reduced word in the generators s1, s2 of the
 Artin group with relation s1 s2 s1 ... = s2 s1 s2 ... (n letters each
 side).  Words compose right-to-left: the rightmost letter acts first.
 A word is stored only as its runs (generator, nonzero exponent), adjacent
-runs carrying different generators: ``parse_word`` reads a token s_i^k
-as one run with one regex, free reduction merges runs, and
+runs carrying different generators: ``parse_word`` splits the text once
+and reads a token s_i^k as one run from a table of the common tokens
+(any other token on its own, and a malformed word by one regex match per
+token, for its error), free reduction merges runs, and
 ``BraidWord.letters`` expands them for the readers that want letters.
 
 The Burau representation is kept exact: matrix entries are Laurent
@@ -195,6 +197,12 @@ def check_n(n: int) -> None:
 # other run of non-space bytes; group 4 is set when that one has an exponent.
 _TOKEN = re.compile(rb"s([12])(?:\^(-?)([0-9]+))?(?!\S)|(s[12]\^\S*)|\S+")
 _MAX_DIGITS = len(str(MAX_WORD_LETTERS))
+# The run of every well-formed token s_g^k with |k| <= 99 written without
+# leading zeros, s1 and s2 among them: 398 entries.
+_TOKEN_RUNS: dict[bytes, tuple[int, int]] = {
+    **{b"s%d" % g: (g, 1) for g in (1, 2)},
+    **{b"s%d^%d" % (g, k): (g, k) for g in (1, 2) for k in range(-99, 100) if k},
+}
 
 
 def parse_word(text: str, n: int) -> BraidWord:
@@ -204,28 +212,68 @@ def parse_word(text: str, n: int) -> BraidWord:
     not zero.  Raises :class:`WordSyntaxError` with the byte offset of the
     offending token, also of the token that takes the word past
     ``MAX_WORD_LETTERS`` letters, and ValueError for n outside 3..``MAX_N``.
+
+    The text is split once by ``bytes.split``, on the ASCII whitespace
+    that the grammar's ``\\s`` matches, and each token is looked up in
+    ``_TOKEN_RUNS``; a token the table lacks (leading zeros, |k| > 99, or
+    malformed) is read on its own by ``_token_run``.  Only when a token is
+    malformed or takes the word past the cap is the text scanned again,
+    one ``_TOKEN`` match per token, for the error and its byte offset.
     """
     check_n(n)
     runs: list[tuple[int, int]] = []
     count = 0  # letters so far, before free reduction
+    for token in text.encode().split():
+        run = _TOKEN_RUNS.get(token) or _token_run(token)
+        if run is None:
+            break
+        count += abs(run[1])
+        if count > MAX_WORD_LETTERS:
+            break
+        runs.append(run)
+    else:
+        return BraidWord(n, tuple(runs))
+    return BraidWord(n, _scan_runs(text))  # raises the WordSyntaxError
+
+
+def _token_run(token: bytes) -> tuple[int, int] | None:
+    """The run of one token, None if it is malformed or its exponent zero.
+
+    An exponent with more digits than the cap has is past the cap, and
+    int() never reads it.
+    """
+    gen, minus, digits, _ = _TOKEN.fullmatch(token).groups()
+    if gen is None:
+        return None
+    digits = b"1" if digits is None else digits.lstrip(b"0")
+    if not digits:
+        return None
+    k = int(digits) if len(digits) <= _MAX_DIGITS else MAX_WORD_LETTERS + 1
+    return int(gen), -k if minus else k
+
+
+def _scan_runs(text: str) -> tuple[tuple[int, int], ...]:
+    """``parse_word``'s runs by one ``_TOKEN`` match per token, raising its syntax errors."""
+    runs: list[tuple[int, int]] = []
+    count = 0  # letters so far, before free reduction
     for match in _TOKEN.finditer(text.encode()):
-        gen, minus, digits, bad_exponent = match.groups()
-        if gen is None:
-            kind = "bad exponent in" if bad_exponent else "unknown token"
+        run = _token_run(match[0])
+        if run is None:
+            gen, _, _, bad_exponent = match.groups()
+            kind = (
+                "zero exponent in" if gen
+                else "bad exponent in" if bad_exponent
+                else "unknown token"
+            )
             raise WordSyntaxError(f"{kind} {match[0].decode()!r}", match.start())
-        digits = b"1" if digits is None else digits.lstrip(b"0")
-        if not digits:
-            raise WordSyntaxError(f"zero exponent in {match[0].decode()!r}", match.start())
-        # more digits than the cap has is past it, and int() never reads them
-        k = int(digits) if len(digits) <= _MAX_DIGITS else MAX_WORD_LETTERS + 1
-        if count + k > MAX_WORD_LETTERS:
+        count += abs(run[1])
+        if count > MAX_WORD_LETTERS:
             raise WordSyntaxError(
                 f"{match[0].decode()!r} takes the word past {MAX_WORD_LETTERS} letters",
                 match.start(),
             )
-        count += k
-        runs.append((int(gen), -k if minus else k))
-    return BraidWord(n, tuple(runs))
+        runs.append(run)
+    return tuple(runs)
 
 
 # ---------------------------------------------------------------------------

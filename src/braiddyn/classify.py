@@ -20,10 +20,12 @@ b_k^{m_k} ... b_1^{m_1} gamma^s and run:
    an explicit conjugate sigma_i^k chi^l, full = pseudo-Anosov with mass
    growth log PF of the matrix.
 
-The loop peels the two ends of one block list held between two indices
-and records the peeled twist letters.  The final ``NormalForm`` is built
-once, through the checking constructor; the conjugate and the conjugator
-are spelled out as words once, when the verdict is returned.
+The loop peels the two ends of one block list held between two indices,
+on the letters' ``braidword._letter_table`` codes: each round is one read
+of the ban list, the test of ``joins`` without a letter object, and the
+peeled letters are recorded as code runs.  The final ``NormalForm`` is
+built once, through the checking constructor; the conjugate and the
+conjugator are spelled out as words once, when the verdict is returned.
 The zero pattern comes from the Boolean product of the arrow runs'
 supports (``automaton.path_zero_pattern``) and the pseudo-Anosov growth
 from an exactly rescaled float product of the runs (``automaton.log_pf``),
@@ -59,6 +61,8 @@ from .braidword import (
     BraidWord,
     NormalForm,
     TwistLetter,
+    _code,
+    _letter_table,
     _twist_runs,
     joins,
     to_normal_form,
@@ -285,29 +289,38 @@ def classify(n: int, w: BraidWord) -> ClassificationResult:
         raise ValueError("word does not belong to the requested group")
     auto = _automaton(n)
     first = to_normal_form(w)
-    blocks = [[letter, mult] for letter, mult in first.blocks]
-    lo, hi = 0, len(blocks) - 1  # the live blocks are blocks[lo : hi + 1]
+    m, letters, ban = _letter_table(n)
+    # the blocks as letter codes and multiplicities; the live ones are [lo, hi]
+    codes = [_code(m, letter) for letter, _ in first.blocks]
+    mults = [mult for _, mult in first.blocks]
+    lo, hi = 0, len(codes) - 1
     total, s = first.twist_count(), first.gamma_exp
-    # conjugating twist letters in peel order, as [letter, count] runs: a
-    # run is one block, and adjacent blocks carry distinct letters
-    peeled: list[list] = []
-    while total >= 2 and not joins(n, blocks[hi][0], s, blocks[lo][0]):
+    # conjugating letter codes in peel order, as [code, count] runs: a run
+    # is one block, and adjacent blocks carry distinct letters
+    peeled: list[list[int]] = []
+    while total >= 2:
+        # peel while joins(n, b_k, s, b_1) fails: b_1's forbidden source is b_k's target moved by s
+        x = codes[hi]
+        if ban[codes[lo]] != x - x % m + (x + s) % m:
+            break
         # shorten: b_1 gamma^s b_k = gamma^(s+1) after pushing gammas right
-        if peeled and peeled[-1][0] is blocks[hi][0]:
+        if peeled and peeled[-1][0] == x:
             peeled[-1][1] += 1
         else:
-            peeled.append([blocks[hi][0], 1])
-        blocks[lo][1] -= 1
-        blocks[hi][1] -= 1
-        if blocks[lo][1] == 0:
+            peeled.append([x, 1])
+        mults[lo] -= 1
+        mults[hi] -= 1
+        if mults[lo] == 0:
             lo += 1
-        if blocks[hi][1] == 0:
+        if mults[hi] == 0:
             hi -= 1
         total -= 2
         s += 1
     # a list into tuple(), as in braidword.to_normal_form: no resized tuples
-    nf = NormalForm(n, tuple([(letter, mult) for letter, mult in blocks[lo : hi + 1]]), s)
-    conj = _conjugator(n, peeled)
+    nf = NormalForm(
+        n, tuple([(letters[codes[i]], mults[i]) for i in range(lo, hi + 1)]), s
+    )
+    conj = _conjugator(n, [[letters[x], count] for x, count in peeled])
     rounds = s - first.gamma_exp  # each round pushed one gamma
 
     if total == 0:

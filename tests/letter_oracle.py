@@ -1,28 +1,68 @@
-"""Twist letters as objects: the pair rule, the normal form and the word spellers.
+"""Oracles: the regex parser, and twist letters as objects.
 
-``braiddyn.braidword`` runs these on small-int letter codes and one ban
-table per n.  This module keeps the object-level versions as oracles:
-``joins_by_vertices`` compares the vertex tuples of ``target_vertex`` and
-``forbidden_source``, ``normal_form_by_letters`` is the run-level rewrite
-that builds a ``TwistLetter`` per step, and ``word_by_blocks`` /
-``conjugator_by_blocks`` spell each twist power as gamma^j s_i^e gamma^-j
-on its own, leaving the gammas between powers to free reduction.
+``braiddyn.braidword`` reads word text with one split and a token table,
+and runs the rewrite on small-int letter codes and one ban table per n;
+``braiddyn.classify`` peels on those codes too.  This module keeps the
+earlier versions as oracles: ``parse_by_regex`` reads a token per regex
+match, ``joins_by_vertices`` compares the vertex tuples of
+``target_vertex`` and ``forbidden_source``, ``normal_form_by_letters`` is
+the run-level rewrite that builds a ``TwistLetter`` per step,
+``peel_by_letters`` is the conjugation loop with one ``joins`` call per
+round, and ``word_by_blocks`` / ``conjugator_by_blocks`` spell each twist
+power as gamma^j s_i^e gamma^-j on its own, leaving the gammas between
+powers to free reduction.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import groupby
 
 from braiddyn.braidword import (
+    MAX_WORD_LETTERS,
     BraidWord,
     NormalForm,
     TwistLetter,
+    WordSyntaxError,
+    check_n,
     forbidden_source,
     gamma_letters,
+    joins,
     make_twist,
     target_vertex,
+    to_normal_form,
     twist_modulus,
 )
+
+# A well-formed token (groups 1-3: generator, sign, ASCII digits), else any
+# other run of non-space bytes; group 4 is set when that one has an exponent.
+_TOKEN = re.compile(rb"s([12])(?:\^(-?)([0-9]+))?(?!\S)|(s[12]\^\S*)|\S+")
+_MAX_DIGITS = len(str(MAX_WORD_LETTERS))
+
+
+def parse_by_regex(text: str, n: int) -> BraidWord:
+    """``parse_word`` with one regex match per token, its errors and byte offsets."""
+    check_n(n)
+    runs: list[tuple[int, int]] = []
+    count = 0  # letters so far, before free reduction
+    for match in _TOKEN.finditer(text.encode()):
+        gen, minus, digits, bad_exponent = match.groups()
+        if gen is None:
+            kind = "bad exponent in" if bad_exponent else "unknown token"
+            raise WordSyntaxError(f"{kind} {match[0].decode()!r}", match.start())
+        digits = b"1" if digits is None else digits.lstrip(b"0")
+        if not digits:
+            raise WordSyntaxError(f"zero exponent in {match[0].decode()!r}", match.start())
+        # more digits than the cap has is past it, and int() never reads them
+        k = int(digits) if len(digits) <= _MAX_DIGITS else MAX_WORD_LETTERS + 1
+        if count + k > MAX_WORD_LETTERS:
+            raise WordSyntaxError(
+                f"{match[0].decode()!r} takes the word past {MAX_WORD_LETTERS} letters",
+                match.start(),
+            )
+        count += k
+        runs.append((int(gen), -k if minus else k))
+    return BraidWord(n, tuple(runs))
 
 
 def joins_by_vertices(n: int, first: TwistLetter, gammas: int, second: TwistLetter) -> bool:
@@ -93,3 +133,28 @@ def conjugator_by_blocks(n: int, peeled: list[TwistLetter]) -> BraidWord:
         runs.append((letter.family, -len(list(group))))
         runs += gamma_letters(-letter.index)
     return BraidWord(n, tuple(runs))
+
+
+def peel_by_letters(n: int, w: BraidWord) -> tuple[NormalForm, list[TwistLetter]]:
+    """``classify``'s conjugation loop on letter objects: (final normal form, peeled letters).
+
+    Each round asks ``joins(n, b_k, s, b_1)``; while that fails, b_k is
+    peeled, one letter comes off each end of the block list and s grows by
+    one, so the number of rounds is the number of peeled letters.
+    """
+    first = to_normal_form(w)
+    blocks = [[letter, mult] for letter, mult in first.blocks]
+    lo, hi = 0, len(blocks) - 1
+    total, s = first.twist_count(), first.gamma_exp
+    peeled: list[TwistLetter] = []
+    while total >= 2 and not joins(n, blocks[hi][0], s, blocks[lo][0]):
+        peeled.append(blocks[hi][0])
+        blocks[lo][1] -= 1
+        blocks[hi][1] -= 1
+        if blocks[lo][1] == 0:
+            lo += 1
+        if blocks[hi][1] == 0:
+            hi -= 1
+        total -= 2
+        s += 1
+    return NormalForm(n, tuple((letter, mult) for letter, mult in blocks[lo : hi + 1]), s), peeled

@@ -790,3 +790,33 @@ def test_path_matrix_rejects_a_negative_arrow_entry():
     planted = Arrow(arrow.source, arrow.target, arrow.label, ((a, entry), (c, d)))
     with pytest.raises(ValueError, match="nonnegative"):
         path_matrix(auto, path_from_arrows(("v", 1), (planted,), False))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_twist_table_holds_the_twist_arrows(n):
+    auto = _AUTOMATA[n]
+    m = twist_modulus(n)
+    code = {("v", j): j for j in range(m)} | {("u", j): m + j for j in range(m)}
+    want = {(code[target_vertex(n, letter)], code[src]): arrow
+            for (letter, src), arrow in auto.twist_arrows.items()}
+    got = {(x, c): arrow for x, row in enumerate(auto._twist_table)
+           for c, arrow in enumerate(row) if arrow is not None}
+    assert got == want
+    assert all(len(row) == len(auto.vertices) for row in auto._twist_table)
+
+
+def test_recognize_hashes_no_twist_letter(monkeypatch):
+    # 200000 blocks: arrows are read by letter and vertex code, not by a dict of letters
+    auto = _AUTOMATA[5]
+    nf = to_normal_form(BraidWord(5, ((1, -200000), (2, 3))))
+    want = recognize(auto, nf, require_closed=True)
+    calls = []
+    real = TwistLetter.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(TwistLetter, "__hash__", counting)
+    assert recognize(auto, nf, require_closed=True) == want
+    assert calls == []

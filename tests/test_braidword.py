@@ -4,7 +4,7 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braiddyn.braidword import (
     MAX_N,
@@ -14,6 +14,7 @@ from braiddyn.braidword import (
     QLaurent,
     TwistLetter,
     WordSyntaxError,
+    _TOKEN_RUNS,
     _burau_generators,
     _letter_table,
     burau,
@@ -34,6 +35,7 @@ from letter_oracle import (
     conjugator_by_blocks,
     joins_by_vertices,
     normal_form_by_letters,
+    parse_by_regex,
     word_by_blocks,
 )
 from test_fusion import oracle_laurent_dot
@@ -162,6 +164,74 @@ def test_leading_zeros_and_long_exponents(zeros):
             parse_word("s2 s1^" + digits, 5)
         assert err.value.offset == 3
     assert len(parse_word("s1^" + "0" * zeros + str(MAX_WORD_LETTERS), 5)) == MAX_WORD_LETTERS
+
+
+def parse_outcome(parse, text, n):
+    """The runs a parser returns, or the message and byte offset it raises."""
+    try:
+        return parse(text, n).runs
+    except WordSyntaxError as err:
+        return str(err), err.offset
+
+
+def test_token_table_matches_the_regex_parser():
+    # every table entry, and the tokens just past it, one by one (no merging)
+    texts = {token.decode() for token in _TOKEN_RUNS}
+    texts |= {f"s{g}^{k}" for g in (1, 2) for k in range(-101, 102)}
+    texts |= {f"s{g}^{sign}0{k}" for g in (1, 2) for sign in ("", "-") for k in (0, 1, 9, 99)}
+    for text in sorted(texts):
+        assert parse_outcome(parse_word, text, 5) == parse_outcome(parse_by_regex, text, 5), text
+
+
+def test_separators_match_the_regex_parser():
+    # every ASCII character, and whitespace outside ASCII, between two tokens
+    for c in [*map(chr, range(128)), "\x85", "\u00a0", "\u2003", "\u2028", "\u3000"]:
+        text = f"s1{c}s2^-2"
+        assert parse_outcome(parse_word, text, 5) == parse_outcome(parse_by_regex, text, 5), text
+
+
+# the ASCII whitespace that separates tokens, and whitespace that does not
+SEPARATORS = [" ", "\t", "\n", "\r", "\v", "\f"]
+NOT_SEPARATORS = ["\u00a0", "\u2003"]
+generators = st.sampled_from((1, 2))
+signs = st.sampled_from(("", "-"))
+word_tokens = st.one_of(
+    st.sampled_from(["s1", "s2"]),
+    # table tokens, and exponents just past the table
+    st.builds("s{}^{}".format, generators, st.integers(-99, 99).filter(bool)),
+    st.builds("s{}^{}".format, generators, st.sampled_from((-100, -99, -1, 1, 99, 100))),
+    # leading zeros (a zero exponent among them)
+    st.builds(
+        lambda g, sign, zeros, k: f"s{g}^{sign}{'0' * zeros}{k}",
+        generators, signs, st.sampled_from((1, 2, 4999)), st.integers(0, 150),
+    ),
+    # 5000 digits, more than int() reads by default
+    st.builds(lambda g, sign: f"s{g}^{sign}{'9' * 5000}", generators, signs),
+    # long runs: two or three of them cross MAX_WORD_LETTERS
+    st.builds("s{}^{}".format, generators, st.integers(-600000, 600000).filter(bool)),
+    st.sampled_from(BAD_TOKENS),
+    st.text(alphabet="s12^-09x\u00e9", min_size=1, max_size=6),
+)
+
+
+@st.composite
+def word_texts(draw):
+    gaps = st.text(alphabet=SEPARATORS + NOT_SEPARATORS, min_size=1, max_size=3)
+    parts = [draw(st.sampled_from(["", *SEPARATORS]))]
+    for token in draw(st.lists(word_tokens, max_size=10)):
+        parts += [token, draw(gaps)]
+    return "".join(parts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(3, 16), word_texts())
+@example(5, "s1\u00a0s2")
+@example(5, "s1\u2003s2^-3")
+@example(5, "s1 \t\n\r\v\fs2^-99\fs1^100")
+@example(5, f"s1^{MAX_WORD_LETTERS - 1} s2^-1 s1")
+def test_parse_matches_regex_oracle(n, text):
+    # the same runs, or the same message at the same byte offset
+    assert parse_outcome(parse_word, text, n) == parse_outcome(parse_by_regex, text, n)
 
 
 def test_free_reduction_and_inverse():

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import braiddyn.automaton as am
 from braiddyn.braidword import (
@@ -20,6 +20,7 @@ from braiddyn.braidword import (
     twist_modulus,
 )
 from braiddyn.classify import (
+    _AUTOMATA,
     classify,
     estimate_growth,
     growth_periodic,
@@ -27,6 +28,8 @@ from braiddyn.classify import (
     reducible_witness,
 )
 from estimator_oracle import iterate_by_levels
+from letter_oracle import conjugator_by_blocks, peel_by_letters, word_by_blocks
+from test_braidword import LETTER_NS
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 PA5 = math.log(2 * math.sqrt(math.sqrt(5) + 2) + math.sqrt(5) + 2)
@@ -364,8 +367,8 @@ def _check_against_round_loop(n, w):
 
 
 @st.composite
-def conjugates(draw):
-    n = draw(st.integers(3, 16))
+def conjugates(draw, ns=None):
+    n = draw(st.integers(3, 16) if ns is None else st.sampled_from(ns))
     letters = st.tuples(st.sampled_from((1, 2)), st.sampled_from((1, -1)))
     c = BraidWord(n, tuple(draw(st.lists(letters, max_size=60))))
     kind = draw(st.sampled_from(["word", "block", "gamma", "letter"]))
@@ -385,6 +388,37 @@ def conjugates(draw):
 @given(conjugates())
 def test_peel_matches_round_loop(case):
     _check_against_round_loop(*case)
+
+
+@pytest.fixture
+def automata_kept_to_this_test():
+    # the n = 127 and 128 automata take about 100 MB each; drop them after the test
+    kept = dict(_AUTOMATA)
+    yield
+    _AUTOMATA.clear()
+    _AUTOMATA.update(kept)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(conjugates(LETTER_NS))
+def test_peel_on_codes_matches_letter_loop(automata_kept_to_this_test, case):
+    # the code-level peel loop against one joins() call on letters per round
+    n, w = case
+    nf, peeled = peel_by_letters(n, w)
+    res = classify(n, w)
+    assert res.rounds == len(peeled)
+    assert res.normal_form == nf
+    conj = conjugator_by_blocks(n, peeled)
+    if res.braid_type == "reducible":
+        i, k, l, extra = reducible_witness(n, nf, am.path_zero_pattern(res.path))
+        out = BraidWord.generator(n, i) ** k * BraidWord.gamma_power(n, l * twist_modulus(n))
+        conj = extra * conj
+    else:
+        out = word_by_blocks(nf)
+    assert res.out_beta.runs == out.runs
+    assert res.conjugator.runs == conj.runs
 
 
 @pytest.mark.parametrize(
