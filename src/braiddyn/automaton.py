@@ -47,10 +47,12 @@ multiplicity by repeated squaring on four floats whose scale is an exact
 power of two, and the arrows' levels are summed as integers, so neither
 drifts with the multiplicities.  The pattern costs O(runs * log
 multiplicity), and so does h_t once its arrows are evaluated at t.
-``path_matrix``, ``zero_pattern`` and ``pf_eigenvalue`` are the exact
-route, used when the matrix itself is wanted; ``path_matrix`` hands the
-runs to ``fusion.product_tree``, which raises each to its multiplicity by
-repeated squaring on packed entries.
+``path_terms``, ``path_matrix``, ``zero_pattern`` and ``pf_eigenvalue``
+are the exact route, used when the matrix itself is wanted:
+``path_terms`` hands the runs to ``fusion.product_tree``, which raises
+each to its multiplicity by repeated squaring on packed entries, and
+returns the entries as terms; ``path_matrix`` builds ``MassPoly``
+entries from them.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from .braidword import (
     target_vertex,
     twist_modulus,
 )
-from .fusion import Leaf, MassPoly, _power, eval_mass, leaf, pf_dim, product_tree
+from .fusion import FusionVec, Leaf, MassPoly, Terms, _power, eval_mass, leaf, pf_dim, product_tree
 from .fusion import mass_mul  # noqa: F401  the bench tracer wraps automaton.mass_mul
 from .twistcalc import U, V1, V2, SemistableUnit, gamma_on_unit, letter_support
 
@@ -84,6 +86,7 @@ __all__ = [
     "joins",
     "log_pf",
     "path_matrix",
+    "path_terms",
     "path_zero_pattern",
     "pf_eigenvalue",
     "recognize",
@@ -255,7 +258,10 @@ def _arrow_matrix(
         for piece, w in support.items():
             entry = acc[slot[(piece.family, piece.index)]][c]
             entry.setdefault(piece.level, [0] * (n - 1))[piece.label] += w
-    return tuple(tuple(MassPoly.from_rows(n, entry) for entry in row) for row in acc)
+    return tuple(
+        tuple(MassPoly.from_dict(n, {e: FusionVec(n, tuple(r)) for e, r in entry.items()}) for entry in row)
+        for row in acc
+    )
 
 
 def build(n: int) -> MassAutomaton:
@@ -390,20 +396,29 @@ def recognizes_word(auto: MassAutomaton, letters: list[TwistLetter | int]) -> bo
     return True
 
 
-def path_matrix(auto: MassAutomaton, path: PathWitness) -> MassMatrix:
-    """Ordered product M(e_k) ... M(e_1); the empty path gives the identity.
+def path_terms(auto: MassAutomaton, path: PathWitness) -> tuple[Terms, Terms, Terms, Terms]:
+    """Entries a, b, c, d of M(p) = M(e_k) ... M(e_1) as ``fusion.Terms``; empty path: identity.
 
     ``fusion.product_tree`` takes the path's runs, last run first, with
     each arrow's cached ``Arrow.leaf``: a run of mult steps is one power,
     raised by repeated squaring on the packed entries, so nothing walks
-    the expanded arrows.  Each of the four entries is built once, through
-    the checking ``MassPoly`` constructor.
+    the expanded arrows.  The terms are what the CLI writes; nothing is
+    checked or built per term.
     """
-    n = auto.n
-    a, b, c, d = (
-        MassPoly.from_rows(n, rows)
-        for rows in product_tree(n, [(arrow.leaf, mult) for arrow, mult in reversed(path.runs)])
-    )
+    return product_tree(auto.n, [(arrow.leaf, mult) for arrow, mult in reversed(path.runs)])
+
+
+def path_matrix(auto: MassAutomaton, path: PathWitness) -> MassMatrix:
+    """Ordered product M(e_k) ... M(e_1) as a ``MassMatrix``; the empty path gives the identity.
+
+    It is ``path_terms``, each of the four entries built once through the
+    checking ``MassPoly.from_terms``.
+    """
+    return _mass_matrix(auto.n, path_terms(auto, path))
+
+
+def _mass_matrix(n: int, terms: tuple[Terms, Terms, Terms, Terms]) -> MassMatrix:
+    a, b, c, d = (MassPoly.from_terms(n, entry) for entry in terms)
     return ((a, b), (c, d))
 
 

@@ -41,6 +41,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import lt
 from typing import TYPE_CHECKING, NamedTuple
 
 from .fusion import Leaf, delta_value, leaf, product_tree
@@ -292,14 +294,15 @@ class QLaurent:
     terms: tuple[tuple[int, tuple[int, ...]], ...]  # (exponent, signed vector)
 
     def __post_init__(self):
-        exps = [e for e, _ in self.terms]
-        if exps != sorted(exps) or len(set(exps)) != len(exps):
+        if not self.terms:
+            return
+        exps, vecs = zip(*self.terms)
+        if not all(map(lt, exps, exps[1:])):
             raise ValueError("terms must be sorted by exponent and distinct")
-        for _, vec in self.terms:
-            if not isinstance(vec, tuple) or len(vec) != self.n - 1:
-                raise ValueError(f"expected a tuple of {self.n - 1} coefficients for n={self.n}")
-            if not any(vec):
-                raise ValueError("zero coefficient must not be stored")
+        if not all(map(isinstance, vecs, repeat(tuple))) or set(map(len, vecs)) != {self.n - 1}:
+            raise ValueError(f"expected a tuple of {self.n - 1} coefficients for n={self.n}")
+        if not all(map(any, vecs)):
+            raise ValueError("zero coefficient must not be stored")
 
     @classmethod
     def zero(cls, n: int) -> QLaurent:
@@ -308,12 +311,8 @@ class QLaurent:
     @classmethod
     def from_dict(cls, n: int, d: dict[int, tuple[int, ...]]) -> QLaurent:
         return cls(
-            n, tuple(sorted((e, v) for e, v in d.items() if any(c != 0 for c in v)))
+            n, tuple(sorted((e, v) for e, v in d.items() if any(v)))
         )
-
-    @classmethod
-    def from_rows(cls, n: int, rows: dict[int, list[int]]) -> QLaurent:
-        return cls.from_dict(n, {e: tuple(row) for e, row in rows.items()})
 
     @classmethod
     def term(cls, n: int, e: int, vec: tuple[int, ...]) -> QLaurent:
@@ -373,12 +372,13 @@ def burau(w: BraidWord) -> BurauMatrix:
     ``fusion.product_tree`` takes the word's runs: a run s_i^k is the
     generator's (or its inverse's) leaf raised to |k| by repeated squaring
     on the packed entries, so the letters are never expanded.  Each entry
-    is built once, through ``QLaurent.from_rows``.
+    is built once, from the kernel's terms as they are, through the
+    checking ``QLaurent`` constructor.
     """
     leaves = _generator_leaves(w.n)
     a, b, c, d = (
-        QLaurent.from_rows(w.n, rows)
-        for rows in product_tree(
+        QLaurent(w.n, terms)
+        for terms in product_tree(
             w.n, [(leaves[(g, 1 if k > 0 else -1)], abs(k)) for g, k in w.runs]
         )
     )

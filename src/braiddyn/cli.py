@@ -30,9 +30,17 @@ allows, or a computed real that is not finite, such as ``h_t`` at
 standard output went away before the output was written, as in
 ``braiddyn classify ... --word - | head -1`` (nothing on stderr).
 Reals are printed with 9 decimal places by default; the environment
-variable BRAIDDYN_PRECISION overrides this.  A real that rounds to zero
-is printed as 0, never as -0.  Output is valid JSON and
-never holds NaN or an infinity.
+variable BRAIDDYN_PRECISION, read once per run, overrides this: a value
+that is not an integer means 9, and a value below 1 means 1.  A real
+that rounds to zero is printed as 0, never as -0.  Output is valid JSON
+and never holds NaN or an infinity.
+
+``classify --json`` writes M(p) (``matrix`` and ``growth.matrix``) and
+``matrix_at_0`` from the kernel's terms (``automaton.path_terms``):
+each entry's JSON text is one format per term, the matrix text is
+written once for both fields, and ``matrix_at_0`` is summed in
+``eval_mass``'s order.  ``burau --json`` writes its entries' terms the
+same way.
 """
 
 from __future__ import annotations
@@ -42,13 +50,17 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import itemgetter
 
 from . import automaton as am
 from .braidword import MAX_N, WordSyntaxError, burau, parse_word
-from .classify import ClassificationResult, _estimate, classify
+from .classify import ClassificationResult, LogPFGrowth, _estimate, classify
 from .classify import estimate_growth  # noqa: F401  the bench tracer wraps cli.estimate_growth
-from .fusion import eval_mass
+from .fusion import Terms, check_nonnegative, terms_at_0
+from .fusion import eval_mass  # noqa: F401  the bench tracer wraps cli.eval_mass
 
 
 def _precision() -> int:
@@ -56,6 +68,9 @@ def _precision() -> int:
         return max(1, int(os.environ.get("BRAIDDYN_PRECISION", "9")))
     except ValueError:
         return 9
+
+
+_digits = 9  # decimal places of printed reals; main() sets it from _precision() on each call
 
 
 def _finite(x: float) -> float:
@@ -66,11 +81,11 @@ def _finite(x: float) -> float:
 
 def _round(x: float) -> float:
     # "or 0.0": a value that rounds to zero prints as 0.0, never -0.0
-    return float(f"{_finite(x):.{_precision()}f}") or 0.0
+    return float(f"{_finite(x):.{_digits}f}") or 0.0
 
 
 def _fmt(x: float) -> str:
-    text = f"{_finite(x):.{_precision()}f}"
+    text = f"{_finite(x):.{_digits}f}"
     return text.lstrip("-") if float(text) == 0 else text
 
 
@@ -99,16 +114,54 @@ _nonnegative_int = _checked(int, lambda k: k >= 0, "an integer >= 0")
 _LOG_FLOAT_MAX_TIMES_2 = math.log(2) + math.log(sys.float_info.max)
 
 
-def _classification_report(res: ClassificationResult) -> dict:
+def _matrix_json(entries: Iterable[Terms], key: str) -> str:
+    """A 2x2 matrix of ``Terms`` entries as the JSON text json.dumps writes for
+    [[[{key: e, "coeffs": [c, ...]}, ...], ...], ...], one %-format per term.
+
+    A term formats its row as a tuple; the matrix text holds no other
+    parenthesis, so its parentheses become brackets in one pass.
+    """
+    term = '{"%s": %%d, "coeffs": %%s}' % key
+    a, b, c, d = (", ".join(map(term.__mod__, entry)) for entry in entries)
+    return f"[[[{a}], [{b}]], [[{c}], [{d}]]]".replace("(", "[").replace(")", "]")
+
+
+def _with_matrix(report: dict, matrix: str | None) -> str:
+    """``report`` as JSON, with the text ``matrix`` in each "matrix" field it holds as None.
+
+    A string value escapes its quotes, so ``"matrix": null`` occurs in the
+    text only as such a field.
+    """
+    text = json.dumps(report)
+    return text if matrix is None else text.replace('"matrix": null', '"matrix": ' + matrix)
+
+
+def _arrow_json(arrow: am.Arrow) -> dict:
+    return {
+        "from": f"{arrow.source[0]}{arrow.source[1]}",
+        "to": f"{arrow.target[0]}{arrow.target[1]}",
+        "label": arrow.label_text(),
+    }
+
+
+def _classification_json(res: ClassificationResult, t: float) -> str:
+    """The ``classify --json`` line of a result; ``t`` adds h_t unless it is 0."""
     h0 = res.h0()
     if res.braid_type == "pseudo_anosov" and h0 > _LOG_FLOAT_MAX_TIMES_2 + 1e-9 * h0:
         # fail as the first entry of matrix_at_0 would, before M(p) is built
         _finite(math.inf)
+    terms = res.matrix_terms
+    if terms is not None:
+        check_nonnegative(map(itemgetter(1), chain.from_iterable(terms)))
     report = {
         "n": res.n,
         "type": res.braid_type,
         "h0": _round(h0),
-        "growth": res.growth.to_json(),
+        "growth": (
+            {"kind": "log_pf", "matrix": None}
+            if isinstance(res.growth, LogPFGrowth)
+            else res.growth.to_json()
+        ),
         "normal_form": {
             "blocks": [
                 {"letter": letter.label(), "mult": mult}
@@ -130,24 +183,18 @@ def _classification_report(res: ClassificationResult) -> dict:
     if res.path is not None:
         report["path"] = {
             "start": f"{res.path.start[0]}{res.path.start[1]}",
-            "arrows": [
-                {
-                    "from": f"{a.source[0]}{a.source[1]}",
-                    "to": f"{a.target[0]}{a.target[1]}",
-                    "label": a.label_text(),
-                }
-                for a in res.path.arrows
-            ],
+            "arrows": list(
+                chain.from_iterable(repeat(_arrow_json(a), mult) for a, mult in res.path.runs)
+            ),
         }
-    if res.matrix is not None:
-        report["matrix"] = [
-            [res.matrix[r][c].to_json() for c in range(2)] for r in range(2)
-        ]
-        report["matrix_at_0"] = [
-            [_round(eval_mass(res.matrix[r][c], 0.0)) for c in range(2)]
-            for r in range(2)
-        ]
-    return report
+    if terms is not None:
+        a, b, c, d = (terms_at_0(res.n, entry) for entry in terms)
+        report["matrix"] = None
+        report["matrix_at_0"] = [[_round(a), _round(b)], [_round(c), _round(d)]]
+    if t:
+        report["t"] = _round(t)
+        report["h_at_t"] = _round(res.growth.evaluate(t))
+    return _with_matrix(report, None if terms is None else _matrix_json(terms, "e"))
 
 
 def _human_classification(res: ClassificationResult) -> str:
@@ -176,11 +223,7 @@ def _run_classify(args) -> int:
                 f"conjugation used {res.rounds} rounds, above --max-iter {args.max_iter}"
             )
         if args.json:
-            report = _classification_report(res)
-            if args.t:
-                report["t"] = _round(args.t)
-                report["h_at_t"] = _round(res.growth.evaluate(args.t))
-            print(json.dumps(report))
+            print(_classification_json(res, args.t))
         else:
             line = _human_classification(res)
             if args.t:
@@ -193,17 +236,8 @@ def _run_burau(args) -> int:
     for text in _gather_words(args):
         matrix = burau(parse_word(text, args.n))
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "n": args.n,
-                        "word": text,
-                        "matrix": [
-                            [matrix[r][c].to_json() for c in range(2)] for r in range(2)
-                        ],
-                    }
-                )
-            )
+            entries = (matrix[r][c].terms for r in range(2) for c in range(2))
+            print(_with_matrix({"n": args.n, "word": text, "matrix": None}, _matrix_json(entries, "q")))
         else:
             for r in range(2):
                 row = []
@@ -308,6 +342,8 @@ def _glue_negative_t(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    global _digits
+    _digits = _precision()
     args = _parser().parse_args(_glue_negative_t(sys.argv[1:] if argv is None else argv))
     if not 3 <= args.n <= MAX_N:
         print(f"invalid n={args.n}: need 3 <= n <= {MAX_N}", file=sys.stderr)

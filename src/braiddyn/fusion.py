@@ -55,9 +55,15 @@ product that is read back in slots.  Two rules pick it.
 
 Reading slots is linear too: half a slot is added to every slot, which
 turns the balanced (signed) digits nonnegative, then one ``to_bytes``
-hands back every slot.  Only results become ``FusionVec`` / ``MassPoly``
-objects, through their checking constructors; signed coefficients occur
-only in the kernel and in the Burau entries (``braidword.QLaurent``).
+hands back every slot.  The root's slots, all labels of an entry in one
+buffer, are read back in C-level passes (``_read_terms``): each slot's
+top bit is flipped back, slots of at most 8 bytes are read through one
+``memoryview.cast`` to C ints, the labels are transposed into rows, and
+zero rows are dropped.  ``product_tree`` hands each entry back as
+``Terms``, (exponent, coefficient row) pairs; ``MassPoly.from_terms``
+and ``braidword.QLaurent`` check them in bulk, and ``terms_at_0``
+evaluates them at t = 0 as ``eval_mass`` does, with no per-term object.
+Signed coefficients occur only in the kernel and in the Burau entries.
 ``mass_mul`` and ``ring_mul`` are one-entry products through the same
 kernel.
 """
@@ -65,8 +71,14 @@ kernel.
 from __future__ import annotations
 
 import math
+import operator
+import struct
+import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain, compress, repeat
+from operator import attrgetter, itemgetter, lt
 from typing import NamedTuple
 
 __all__ = [
@@ -82,6 +94,9 @@ __all__ = [
     "product_tree",
     "mass_mul",
     "eval_mass",
+    "check_nonnegative",
+    "terms_at_0",
+    "Terms",
 ]
 
 
@@ -141,8 +156,7 @@ class FusionVec:
                 f"expected {self.n - 1} coefficients for n={self.n}, "
                 f"got {len(self.coeffs)}"
             )
-        if any(c < 0 for c in self.coeffs):
-            raise ValueError("fusion coefficients must be nonnegative")
+        check_nonnegative((self.coeffs,))
 
     @classmethod
     def zero(cls, n: int) -> FusionVec:
@@ -202,6 +216,13 @@ def _fusion_table(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tuple(summands(a, b) for b in range(n - 1)) for a in range(n - 1))
 
 
+def check_nonnegative(rows: Iterable[tuple[int, ...]]) -> None:
+    """Raise ``FusionVec``'s error if a coefficient of any of the (nonempty) rows is negative."""
+    if min(map(min, rows), default=0) < 0:
+        raise ValueError("fusion coefficients must be nonnegative")
+
+
+Terms = tuple[tuple[int, tuple[int, ...]], ...]  # (exponent, coefficient row), ascending, no zero row
 Bound = tuple[float, float, float, float, float]  # (a, b, c, d, log2 scale), largest entry 1
 _TINY = 2.0**-500  # floor of a positive bound entry, so no product of two underflows
 
@@ -467,31 +488,67 @@ def _span(product, size: int) -> int:
 
 
 _BLOCK = 1024  # slots compared at once when reading: a zero block costs one comparison
+_LITTLE = sys.byteorder == "little"
+_CAST = {struct.calcsize(c): c for c in "bhilq"}  # a signed C int format per width: 1, 2, 4, 8
 
 
-def _read_slots(n: int, lo: int, size: int, entry: dict[int, bytes]) -> dict[int, list[int]]:
-    """A packed entry as exponent -> dense row, from s^lo.
+def _signed(buf: bytes, size: int):
+    """The biased slots of ``buf`` as a sequence of signed ints, one per slot.
 
-    Each slot of a block with a nonzero slot is one slice; a block of zero
-    slots is skipped whole, so sparse entries with far-apart exponents
-    cost their terms, not their span.
+    The bias only toggles each slot's top bit, so flipping it back gives
+    two's complement.  Slots of at most 8 bytes are copied column by
+    column into C ints of 1, 2, 4 or 8 bytes in the host's byte order,
+    the top column's sign spread over the added bytes, and read through
+    one ``memoryview.cast``; wider slots are read one ``int.from_bytes``
+    each.
     """
-    half, step = 1 << (8 * size - 1), _BLOCK * size
-    zero = _half_slots(size, _BLOCK)
-    rows: dict[int, list[int]] = {}
-    for a, buf in entry.items():
-        for start in range(0, len(buf), step):
-            block = buf[start : start + step]
-            if block == zero[: len(block)]:
-                continue
-            for e, i in enumerate(range(0, len(block), size), lo + start // size):
-                digit = int.from_bytes(block[i : i + size], "little") - half
-                if digit:
-                    row = rows.get(e)
-                    if row is None:
-                        row = rows[e] = [0] * (n - 1)
-                    row[a] = digit
-    return rows
+    if size > 8:
+        half, end = 1 << (8 * size - 1), len(buf)
+        slots = map(buf.__getitem__, map(slice, range(0, end, size), range(size, end + size, size)))
+        return list(map(int.__sub__, map(int.from_bytes, slots, repeat("little")), repeat(half)))
+    wide = 1 << (size - 1).bit_length()
+    if wide == size and _LITTLE:
+        out = bytearray(buf)
+        out[size - 1 :: size] = out[size - 1 :: size].translate(_FLIP)
+    else:
+        out = bytearray(len(buf) // size * wide)
+        top = _column(buf, size, size - 1)
+        columns = [_column(buf, size, j) for j in range(size - 1)] + [top]
+        columns += [top.translate(_SIGN)] * (wide - size)
+        for j, col in enumerate(columns):
+            out[j if _LITTLE else wide - 1 - j :: wide] = col
+    return memoryview(out).cast(_CAST[wide])
+
+
+def _read_terms(n: int, lo: int, size: int, entry: dict[int, bytes]) -> Terms:
+    """A packed entry as its nonzero terms (exponent, coefficient row), exponents ascending from s^lo.
+
+    All labels' slots go into one buffer, read in one pass (``_signed``)
+    and transposed into rows by ``zip``; a block of slots that is zero on
+    every label is left out first, so sparse entries with far-apart
+    exponents cost their terms, not their span.
+    """
+    if not entry:
+        return ()
+    k = max(map(len, entry.values())) // size
+    bufs = [buf + _half_slots(size, k - len(buf) // size) for buf in entry.values()]
+    exps: Iterable[int] = range(lo, lo + k)
+    if k > _BLOCK:
+        step, end = _BLOCK * size, k * size
+        zero, blocks = _half_slots(size, _BLOCK), range(0, end, step)
+        kept = [i for i in blocks if not all(zero.startswith(buf[i : i + step]) for buf in bufs)]
+        if len(kept) < len(blocks):
+            bufs = [b"".join(buf[i : i + step] for i in kept) for buf in bufs]
+            exps = chain.from_iterable(range(lo + i // size, lo + min(i + step, end) // size) for i in kept)
+    m = len(bufs[0]) // size
+    ints = _signed(b"".join(bufs), size)
+    cols: list = [repeat(0)] * (n - 1)
+    for j, a in enumerate(entry):
+        cols[a] = ints[j * m : (j + 1) * m]
+    rows = list(zip(*cols))
+    # a tuple of a list: tuple() of the iterator itself grows the tuple step
+    # by step, and in a long run that left the heap fragmented (RSS rising)
+    return tuple(list(compress(zip(exps, rows), map(any, rows))))
 
 
 def _pairwise(mul, level: list):
@@ -543,8 +600,8 @@ def _group_product(table, group, size: int) -> _Node:
     return _Node(size, size, _span(root, size), entries)
 
 
-def product_tree(n: int, runs) -> tuple[dict[int, list[int]], ...]:
-    """Product of 2x2 matrices given as runs (leaf, mult), as four exponent -> dense row dicts.
+def product_tree(n: int, runs) -> tuple[Terms, Terms, Terms, Terms]:
+    """Product of 2x2 matrices given as runs (leaf, mult), as the four entries' ``Terms``.
 
     The product is L_0^m_0 L_1^m_1 ..., each L a ``Leaf`` and each
     m >= 1; the empty product is the identity.  Each run is raised to its
@@ -554,16 +611,17 @@ def product_tree(n: int, runs) -> tuple[dict[int, list[int]], ...]:
     multiplied at its one slot size, and the group products meet in a
     tree where each product picks its size from its children's measured
     coefficients (``_node_mul``): signed (Burau) entries cancel, and a
-    bound fixed in advance does not see that.  The caller builds its
-    checked objects from the returned rows (``MassPoly.from_rows``,
-    ``QLaurent.from_rows``).
+    bound fixed in advance does not see that.  Each entry comes back as
+    its nonzero terms (exponent, coefficient row) in ascending exponent
+    order, the form the checking constructors take (``MassPoly.from_terms``,
+    ``braidword.QLaurent``).
     """
     table = _fusion_table(n)
     runs = list(runs) or [(leaf(n, _ONE), 1)]
     nodes = [_group_product(table, group, size) for group, size in _groups(runs)]
     root = _pairwise(partial(_node_mul, table), nodes)
     lo = sum(lf.lo * mult for lf, mult in runs)
-    return tuple(_read_slots(n, lo, root.size, entry) for entry in root.entries)
+    return tuple(_read_terms(n, lo, root.size, entry) for entry in root.entries)
 
 
 def fuse(n: int, a: int, b: int) -> FusionVec:
@@ -585,8 +643,8 @@ def ring_mul(u: FusionVec, v: FusionVec) -> FusionVec:
     """Bilinear extension of ``fuse`` to arbitrary nonnegative combinations."""
     if u.n != v.n:
         raise ValueError("mismatched fusion parameters")
-    rows = _entry_product(u.n, ((0, u.coeffs),), ((0, v.coeffs),))
-    return FusionVec(u.n, tuple(rows.get(0, [0] * (u.n - 1))))
+    terms = _entry_product(u.n, ((0, u.coeffs),), ((0, v.coeffs),))
+    return FusionVec(u.n, terms[0][1]) if terms else FusionVec.zero(u.n)
 
 
 def pf_dim(n: int, v: FusionVec) -> float:
@@ -615,25 +673,27 @@ class MassPoly:
 
     def __post_init__(self):
         _check_n(self.n)
-        exps = [e for e, _ in self.terms]
-        if exps != sorted(exps) or len(set(exps)) != len(exps):
+        if not self.terms:
+            return
+        exps, vecs = zip(*self.terms)
+        if not all(map(lt, exps, exps[1:])):
             raise ValueError("terms must be sorted by exponent and distinct")
-        for e, vec in self.terms:
-            if vec.n != self.n:
-                raise ValueError("mismatched fusion parameters in term")
-            if vec.is_zero():
-                raise ValueError("zero coefficient must not be stored")
+        if set(map(attrgetter("n"), vecs)) != {self.n}:
+            raise ValueError("mismatched fusion parameters in term")
+        if not all(map(any, map(attrgetter("coeffs"), vecs))):
+            raise ValueError("zero coefficient must not be stored")
 
     @classmethod
     def from_dict(cls, n: int, d: dict[int, FusionVec]) -> MassPoly:
         return cls(n, tuple(sorted((e, v) for e, v in d.items() if not v.is_zero())))
 
     @classmethod
-    def from_rows(cls, n: int, rows: dict[int, list[int]]) -> MassPoly:
-        """From exponent -> coefficient row; zero rows are dropped, the rest checked."""
-        return cls(
-            n, tuple((e, FusionVec(n, tuple(row))) for e, row in sorted(rows.items()) if any(row))
-        )
+    def from_terms(cls, n: int, terms: Terms) -> MassPoly:
+        """From ``Terms`` as ``product_tree`` returns them, each row checked by ``FusionVec``."""
+        if not terms:
+            return cls(n, ())
+        exps, rows = zip(*terms)
+        return cls(n, tuple(zip(exps, map(FusionVec, repeat(n), rows))))
 
     @classmethod
     def zero(cls, n: int) -> MassPoly:
@@ -684,11 +744,11 @@ def mass_mul(p: MassPoly, q: MassPoly) -> MassPoly:
     if p.n != q.n:
         raise ValueError("mismatched fusion parameters")
     x, y = ([(e, v.coeffs) for e, v in r.terms] for r in (p, q))
-    return MassPoly.from_rows(p.n, _entry_product(p.n, x, y))
+    return MassPoly.from_terms(p.n, _entry_product(p.n, x, y))
 
 
-def _entry_product(n: int, x, y) -> dict[int, list[int]]:
-    """x y for entries given as (exponent, row) pairs, as exponent -> dense row.
+def _entry_product(n: int, x, y) -> Terms:
+    """x y for entries given as (exponent, row) pairs, as ``Terms``.
 
     It is entry a of [[x, 0], [0, 0]] [[y, 0], [0, 0]]: one kernel serves
     every product.
@@ -699,3 +759,17 @@ def _entry_product(n: int, x, y) -> dict[int, list[int]]:
 def eval_mass(p: MassPoly, t: float) -> float:
     """Evaluate at s = e^t; the result is >= 0, and 0 only for the zero polynomial."""
     return sum(pf_dim(p.n, v) * math.exp(e * t) for e, v in p.terms)
+
+
+def terms_at_0(n: int, terms: Terms) -> float:
+    """``eval_mass(MassPoly.from_terms(n, terms), 0.0)`` bit for bit, with no per-term object.
+
+    Each row's PF dimension is summed over its labels and the rows over
+    their exponents, in ``eval_mass``'s order (s^e is 1 at t = 0); a
+    coefficient past the float range makes the value inf, as in ``pf_dim``.
+    """
+    table = _delta_table(n)
+    try:
+        return sum(map(sum, map(map, repeat(operator.mul), map(itemgetter(1), terms), repeat(table))))
+    except OverflowError:
+        return math.inf

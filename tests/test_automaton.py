@@ -425,7 +425,7 @@ def test_arrow_matrix_sums_pieces_on_one_entry():
         {SemistableUnit(V2, 0, 0, 2): 1},
     ]
     (a, b), (c, d) = _arrow_matrix(n, columns, basis)
-    assert a == MassPoly.from_rows(n, {-1: [0, 2, 0, 1]})
+    assert a == MassPoly.from_terms(n, ((-1, (0, 2, 0, 1)),))
     assert b.is_zero() and c.is_zero()
     assert d == mono(n, 0, 2)
     with pytest.raises(KeyError):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import groupby
 
 import numpy as np
@@ -645,7 +646,7 @@ def signed_laurent(draw, n):
 def product_entry(n, x, y):
     """Entry (0, 0) of the product_tree of two signed 2x2 matrices, as a QLaurent."""
     runs = [(leaf(n, [p.terms for p in mat]), 1) for mat in (x, y)]
-    return QLaurent.from_rows(n, product_tree(n, runs)[0])
+    return QLaurent(n, product_tree(n, runs)[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -671,10 +672,22 @@ def test_qlaurent_products_match_oracle(data):
         (((0, (1, 0, 0)),), "4 coefficients"),
         (((0, [1, 0, 0, 0]),), "tuple"),
         (((0, (0, 0, 0, 0)),), "zero coefficient"),
+        # the checks run in bulk: a defect in a later term is found too
+        (((0, (1, 0, 0, 0)), (2, (1, 0, 0, 0)), (2, (0, 1, 0, 0))), "distinct"),
+        (((0, (1, 0, 0, 0)), (1, (1, 0, 0, 0, 0))), "4 coefficients"),
+        (((0, (1, 0, 0, 0)), (1, [1, 0, 0, 0])), "tuple"),
+        (((0, (1, 0, 0, 0)), (1, (0, 0, 0, 0))), "zero coefficient"),
     ],
 )
 def test_qlaurent_rejects_non_canonical_terms(terms, message):
-    with pytest.raises(ValueError, match=message):
+    full = {
+        "sorted": "terms must be sorted by exponent and distinct",
+        "distinct": "terms must be sorted by exponent and distinct",
+        "4 coefficients": "expected a tuple of 4 coefficients for n=5",
+        "tuple": "expected a tuple of 4 coefficients for n=5",
+        "zero coefficient": "zero coefficient must not be stored",
+    }[message]
+    with pytest.raises(ValueError, match=f"^{re.escape(full)}$"):
         QLaurent(5, terms)
 
 

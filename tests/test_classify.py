@@ -709,26 +709,30 @@ def test_verdict_and_growth_match_exact_route(n):
 
 
 def test_exact_matrix_is_built_once_and_only_on_demand(monkeypatch):
+    # the exact product is automaton.path_terms; matrix and matrix_terms share it
     calls = []
-    real = am.path_matrix
+    real = am.path_terms
 
     def counting(auto, path):
         calls.append(path)
         return real(auto, path)
 
-    monkeypatch.setattr(am, "path_matrix", counting)
+    monkeypatch.setattr(am, "path_terms", counting)
     res = classify(5, parse_word("s1 s1 s2 s2", 5))
     assert res.braid_type == "pseudo_anosov" and res.h0() == pytest.approx(PA5, abs=1e-12)
     assert calls == []
     assert res.matrix is res.growth.matrix
     assert res.growth.to_json()["matrix"][0][0] == res.matrix[0][0].to_json()
     assert len(calls) == 1
-    assert res.matrix == real(am.build(5), res.path)
+    assert res.matrix_terms is res.growth.matrix_terms and len(calls) == 1
+    assert res.matrix_terms == real(am.build(5), res.path)
+    assert res.matrix == am.path_matrix(am.build(5), res.path)
 
     calls.clear()
     red = classify(5, parse_word("s2 s1 s2 s1^-1 s2 s1 s2^-1 s1 s2^3 s1", 5))
     assert red.braid_type == "reducible" and calls == []
     assert red.matrix is red.matrix and len(calls) == 1
+    assert red.matrix_terms is red.matrix_terms and len(calls) == 1
     assert classify(5, parse_word("s1 s2", 5)).matrix is None
 
 

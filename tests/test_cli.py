@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -9,12 +10,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import braiddyn
 from braiddyn import automaton as am
-from braiddyn.braidword import MAX_N
+from braiddyn import cli
+from braiddyn.braidword import MAX_N, burau, parse_word
+from braiddyn.classify import classify
 from braiddyn.cli import main
-from braiddyn.fusion import MassPoly
+from braiddyn.fusion import eval_mass
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -192,6 +196,37 @@ def test_precision_env_override(capsys, monkeypatch):
     assert json.loads(out)["h0"] == pytest.approx(2.123, abs=1e-12)
 
 
+def test_precision_is_read_once_per_call(capsys, monkeypatch):
+    # BRAIDDYN_PRECISION is read once per main() call, so a change between
+    # two calls takes effect; a value that is not an integer means 9, and a
+    # value below 1 means 1
+    word = "s1 s1 s2 s2"
+    h0 = classify(5, parse_word(word, 5)).h0()
+    reads = []
+    real = cli._precision
+    monkeypatch.setattr(cli, "_precision", lambda: reads.append(1) or real())
+    cases = [("3", 3), ("x", 9), ("2.5", 9), ("", 9), ("0", 1), ("-4", 1), ("12", 12), (None, 9)]
+    for value, digits in cases:
+        if value is None:
+            monkeypatch.delenv("BRAIDDYN_PRECISION", raising=False)
+        else:
+            monkeypatch.setenv("BRAIDDYN_PRECISION", value)
+        code, out, _ = run(capsys, ["classify", "--n", "5", "--word", word, "--json"])
+        assert code == 0 and json.loads(out)["h0"] == float(f"{h0:.{digits}f}")
+        code, out, _ = run(capsys, ["classify", "--n", "5", "--word", word])
+        assert code == 0 and out.endswith(f"h0 = {h0:.{digits}f}\n")
+    assert len(reads) == 2 * len(cases)
+    # one read for a batch, however many reals it prints
+    reads.clear()
+    code, out, _ = run(
+        capsys,
+        ["classify", "--n", "5", "--word", "-", "--json", "--t", "0.5"],
+        stdin="s1 s1 s2 s2\ns1 s2^-1 s1^3\ns1^2 s2\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0 and len(out.splitlines()) == 3 and reads == [1]
+
+
 def test_classify_at_large_t(capsys):
     # the exact path matrix overflows math.exp here; h_t must not
     word = "s1^2 s2^-2 s1 s2^-3 s1^2 s2^-1 s1 s2^-2"
@@ -330,7 +365,7 @@ def test_growth_past_the_floats_fails_before_the_exact_matrix(capsys, monkeypatc
     def no_matrix(auto, path):
         raise AssertionError("the exact path matrix was built")
 
-    monkeypatch.setattr(am, "path_matrix", no_matrix)
+    monkeypatch.setattr(am, "path_terms", no_matrix)
     word = " ".join(["s1^3 s2^-3"] * 210)
     code, out, err = run(capsys, ["classify", "--n", "8", "--word", word, "--json"])
     assert (code, out, err) == (4, "", "error: a computed real is not finite: inf\n")
@@ -341,10 +376,10 @@ def test_growth_past_the_floats_fails_before_the_exact_matrix(capsys, monkeypatc
 
     def identity_matrix(auto, path):
         built.append(path)
-        one, zero = MassPoly.one(auto.n), MassPoly.zero(auto.n)
-        return ((one, zero), (zero, one))
+        one = ((0, (1,) + (0,) * (auto.n - 2)),)
+        return (one, (), (), one)
 
-    monkeypatch.setattr(am, "path_matrix", identity_matrix)
+    monkeypatch.setattr(am, "path_terms", identity_matrix)
     word = " ".join(["s1^3 s2^-3"] * 200)
     code, out, err = run(capsys, ["classify", "--n", "8", "--word", word, "--json"])
     assert code == 0 and err == "" and len(built) == 1
@@ -497,3 +532,74 @@ def test_closed_pipe_exits_quietly(tmp_path, json_flag):
     assert first.startswith(b"{" if json_flag else b"pseudo_anosov")
     assert stderr == b""
     assert code == 1
+
+
+ORACLE_NS = list(range(3, 17)) + [17, 31, 64]
+
+
+@st.composite
+def oracle_words(draw):
+    """A word of up to 40 runs with exponents up to +-64, as text, and its n."""
+    n = draw(st.sampled_from(ORACLE_NS))
+    runs = draw(
+        st.lists(
+            st.tuples(st.sampled_from((1, 2)), st.integers(-64, 64).filter(bool)),
+            max_size=40,
+        )
+    )
+    return n, " ".join(f"s{g}^{k}" for g, k in runs)
+
+
+@pytest.mark.parametrize("digits", [None, "17"])
+@settings(max_examples=40, deadline=None)
+@given(case=oracle_words())
+@example(case=(5, "s1^2000 s2^-3"))
+@example(case=(8, "s1^-2000 s2^3"))
+@example(case=(3, ""))
+def test_exact_output_matches_the_public_objects(digits, case):
+    # classify --json (with and without --t) writes matrix, growth.matrix and
+    # matrix_at_0 as MassPoly.to_json of res.matrix and eval_mass(., 0.0)
+    # through _round; burau --json writes QLaurent.to_json of burau(w).  At 17
+    # digits the rounding keeps every bit, so matrix_at_0 must be summed in
+    # eval_mass's order
+    n, text = case
+    with pytest.MonkeyPatch.context() as mp:
+        if digits is None:
+            mp.delenv("BRAIDDYN_PRECISION", raising=False)
+        else:
+            mp.setenv("BRAIDDYN_PRECISION", digits)
+        check_exact_output(n, text)
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_exact_output(n, text):
+    w = parse_word(text, n)
+    res = classify(n, w)
+    for extra in ([], ["--t", "0.5"]):
+        code, out, err = run_captured(["classify", "--n", str(n), "--word", text, "--json", *extra])
+        if res.matrix is None:
+            assert code == 0, err
+            assert "matrix" not in json.loads(out) and "matrix_at_0" not in json.loads(out)
+            continue
+        want = [[res.matrix[r][c].to_json() for c in range(2)] for r in range(2)]
+        at_0 = [[eval_mass(res.matrix[r][c], 0.0) for c in range(2)] for r in range(2)]
+        if not all(math.isfinite(x) for row in at_0 for x in row):
+            assert (code, out, err) == (4, "", "error: a computed real is not finite: inf\n")
+            continue
+        assert code == 0, err
+        report = json.loads(out)
+        assert out == json.dumps(report) + "\n"
+        assert report["matrix"] == want
+        if res.braid_type == "pseudo_anosov":
+            assert report["growth"]["matrix"] == want
+        assert report["matrix_at_0"] == [[cli._round(x) for x in row] for row in at_0]
+    m = burau(w)
+    code, out, err = run_captured(["burau", "--n", str(n), "--word", text, "--json"])
+    want = {"n": n, "word": text, "matrix": [[m[r][c].to_json() for c in range(2)] for r in range(2)]}
+    assert (code, out, err) == (0, json.dumps(want) + "\n", "")

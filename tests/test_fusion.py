@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from functools import lru_cache, partial
 
 import pytest
@@ -237,6 +238,35 @@ def test_fusion_vec_rejects_negative():
         FusionVec(5, (1, -1, 0, 0))
 
 
+UNIT5 = FusionVec.unit(5)
+UNSORTED = "terms must be sorted by exponent and distinct"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: FusionVec(5, (1, 0, 0)), "expected 4 coefficients for n=5, got 3"),
+        (lambda: FusionVec(5, (1, 0, 0, 0, 0)), "expected 4 coefficients for n=5, got 5"),
+        (lambda: FusionVec(5, (1, 0, 0, -1)), "fusion coefficients must be nonnegative"),
+        (lambda: FusionVec(2, (1,)), "rank-two fusion data needs n >= 3, got n=2"),
+        (lambda: MassPoly(2, ()), "rank-two fusion data needs n >= 3, got n=2"),
+        (lambda: MassPoly(5, ((1, UNIT5), (0, UNIT5))), UNSORTED),
+        (lambda: MassPoly(5, ((0, UNIT5), (2, UNIT5), (2, UNIT5))), UNSORTED),
+        (lambda: MassPoly(5, ((0, UNIT5), (1, FusionVec.zero(5)))), "zero coefficient must not be stored"),
+        (lambda: MassPoly(5, ((0, UNIT5), (1, FusionVec.unit(6)))), "mismatched fusion parameters in term"),
+        (lambda: MassPoly.from_terms(5, ((0, (1, 0, 0, 0)), (0, (0, 1, 0, 0)))), UNSORTED),
+        (lambda: MassPoly.from_terms(5, ((0, (1, 0, 0, 0)), (1, (0, 0, 1)))), "expected 4 coefficients for n=5, got 3"),
+        (lambda: MassPoly.from_terms(5, ((0, (1, 0, 0, 0)), (1, (0, -2, 1, 0)))), "fusion coefficients must be nonnegative"),
+        (lambda: MassPoly.from_terms(5, ((0, (1, 0, 0, 0)), (1, (0, 0, 0, 0)))), "zero coefficient must not be stored"),
+        (lambda: fusion.check_nonnegative([(1, 2), (0, -1)]), "fusion coefficients must be nonnegative"),
+    ],
+)
+def test_constructors_reject_with_their_messages(make, message):
+    # the checks run in bulk; a defect in a later term is found as in the first
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_mass_poly_json_round_trip():
     p = MassPoly.from_dict(6, {-1: FusionVec(6, (1, 0, 2, 0, 1)), 4: FusionVec.unit(6)})
     assert MassPoly.from_json(6, p.to_json()) == p
@@ -324,7 +354,7 @@ def test_mass_mul_and_fused_entry_match_oracle(data):
         leaf(n, [[(e, v.coeffs) for e, v in p.terms] for p in mat])
         for mat in ((a, c, zero, zero), (b, zero, d, zero))
     )
-    assert as_dict(MassPoly.from_rows(n, product_tree(n, [(x, 1), (y, 1)])[0])) == want
+    assert as_dict(MassPoly.from_terms(n, product_tree(n, [(x, 1), (y, 1)])[0])) == want
 
 
 def test_negative_coefficient_from_a_product_is_rejected():
@@ -408,14 +438,25 @@ def triangular_matrix(draw, n, signed):
     return diagonal(), draw(laurent_entry(n, signed, max_terms=2)), (), diagonal()
 
 
-def kernel_rows(rows):
+def kernel_rows(entries):
+    """product_tree's entries as exponent -> row dicts, once their form is checked:
+    tuples of (exponent, row tuple) terms, exponents ascending, no zero row."""
+    for entry in entries:
+        assert isinstance(entry, tuple)
+        exps = [e for e, _ in entry]
+        assert exps == sorted(set(exps))
+        assert all(isinstance(row, tuple) and any(row) for _, row in entry)
+    return tuple(dict(entry) for entry in entries)
+
+
+def oracle_rows(rows):
     return tuple({e: tuple(row) for e, row in entry.items() if any(row)} for entry in rows)
 
 
 def check_against_oracle(n, matrices, mults):
     runs = [(leaf(n, m), k) for m, k in zip(matrices, mults)]
     expanded = [sparse_matrix(m) for m, k in zip(matrices, mults) for _ in range(k)]
-    assert kernel_rows(product_tree(n, runs)) == kernel_rows(sparse_product(n, expanded))
+    assert kernel_rows(product_tree(n, runs)) == oracle_rows(sparse_product(n, expanded))
 
 
 @settings(max_examples=120, deadline=None)
@@ -558,3 +599,44 @@ def test_mass_mul_of_a_long_operand():
     # far-apart exponents: the slots between them are skipped block by block
     sparse = MassPoly.from_dict(n, {-5: FusionVec.simple(n, 2), 300_000: FusionVec(n, (1, 0, 4, 0))})
     assert as_dict(mass_mul(sparse, q)) == oracle_laurent_dot(n, [(as_dict(sparse), as_dict(q))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_read_terms_matches_a_slot_by_slot_reader(data):
+    # slots of 1, 2, 4 and 8 bytes are cast, 3, 5, 6 and 7 widened first,
+    # wider ones read one by one; labels are missing or of unequal lengths,
+    # and entries longer than a block have zero blocks between their terms
+    size = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(3, 8))
+    lo = data.draw(st.integers(-5000, 5000))
+    half = 1 << (8 * size - 1)
+    small = min(300, half - 1)
+    coeff = st.one_of(st.integers(-small, small), st.sampled_from([-half, 1 - half, half - 1]))
+    entry = {}
+    for a in data.draw(st.sets(st.integers(0, n - 2))):
+        digits = data.draw(st.dictionaries(st.integers(0, 3 * fusion._BLOCK), coeff, min_size=1, max_size=5))
+        entry[a] = bytes(fusion._pack({(a, e): c for e, c in digits.items()}, 0, size, max(digits) + 1)[a])
+    rows = {}
+    for a, buf in entry.items():
+        for i in range(len(buf) // size):
+            digit = int.from_bytes(buf[i * size : (i + 1) * size], "little") - half
+            if digit:
+                rows.setdefault(lo + i, [0] * (n - 1))[a] = digit
+    want = tuple((e, tuple(row)) for e, row in sorted(rows.items()))
+    assert fusion._read_terms(n, lo, size, entry) == want
+
+
+@pytest.mark.parametrize("size", [1, 3, 8, 9])
+def test_far_apart_slots_are_read_past_the_zero_blocks(monkeypatch, size):
+    # two nonzero slots 3 * 10^6 apart: the all-zero blocks between them are
+    # left out before any slot is read, so a reader of every slot fails the count
+    n, gap = 5, 3_000_000
+    low = 1 - (1 << (8 * size - 1))
+    packed = fusion._pack({(1, 0): 5, (3, gap): low}, 0, size, gap + 1)
+    entry = {a: bytes(buf) for a, buf in packed.items()}
+    read = []
+    real = fusion._signed
+    monkeypatch.setattr(fusion, "_signed", lambda buf, size: read.append(len(buf) // size) or real(buf, size))
+    assert fusion._read_terms(n, -7, size, entry) == ((-7, (0, 5, 0, 0)), (gap - 7, (0, 0, 0, low)))
+    assert 0 < sum(read) <= 2 * 2 * fusion._BLOCK  # two labels, at most two blocks each
