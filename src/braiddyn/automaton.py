@@ -18,7 +18,9 @@ letter is ``twistcalc.letter_support``; that of gamma^{+-1} is the one
 unit ``twistcalc.gamma_on_unit``, which carries the central shift at the
 index wraparound.  Entries always have nonnegative coefficients, so an
 entry is strictly positive for every t exactly when it is a nonzero
-polynomial; zero patterns are read off symbolically.
+polynomial; zero patterns are read off symbolically.  An entry holds its
+coefficient rows as the kernel's ``fusion.Terms``, and the arrow's
+``Leaf`` and float table read them as they are, with no per-term object.
 
 Recognition is one deterministic pass.  Gamma arrows leave every vertex,
 and a twist letter y leaves every vertex except forbidden_source(y), so a
@@ -51,8 +53,9 @@ multiplicity), and so does h_t once its arrows are evaluated at t.
 are the exact route, used when the matrix itself is wanted:
 ``path_terms`` hands the runs to ``fusion.product_tree``, which raises
 each to its multiplicity by repeated squaring on packed entries, and
-returns the entries as terms; ``path_matrix`` builds ``MassPoly``
-entries from them.
+returns the entries as terms; ``path_matrix`` checks them into
+``MassPoly`` entries as they are.  ``pf_eigenvalue`` is inf where the
+matrix at t is past the floats.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .braidword import (
     NormalForm,
@@ -72,7 +76,7 @@ from .braidword import (
     target_vertex,
     twist_modulus,
 )
-from .fusion import FusionVec, Leaf, MassPoly, Terms, _power, eval_mass, leaf, pf_dim, product_tree
+from .fusion import Leaf, MassPoly, Terms, _pf_rows, _power, eval_mass, leaf, product_tree
 from .fusion import mass_mul  # noqa: F401  the bench tracer wraps automaton.mass_mul
 from .twistcalc import U, V1, V2, SemistableUnit, gamma_on_unit, letter_support
 
@@ -129,10 +133,7 @@ class Arrow:
     @cached_property
     def leaf(self) -> Leaf:
         """The matrix as a ``fusion.Leaf``, the factor ``fusion.product_tree`` takes."""
-        return leaf(
-            self.matrix[0][0].n,
-            [[(e, vec.coeffs) for e, vec in entry.terms] for row in self.matrix for entry in row],
-        )
+        return leaf(self.matrix[0][0].n, [entry.terms for row in self.matrix for entry in row])
 
     @cached_property
     def float_table(self) -> FloatTable:
@@ -142,9 +143,9 @@ class Arrow:
         entry with the PF dimension of its coefficient, in entry order.
         """
         terms = tuple(
-            (k, e, pf_dim(entry.n, vec))
+            (k, e, w)
             for k, entry in enumerate(entry for row in self.matrix for entry in row)
-            for e, vec in entry.terms
+            for (e, _), w in zip(entry.terms, _pf_rows(entry.n, map(itemgetter(1), entry.terms)))
         )
         levels = [e for _, e, _ in terms]
         return min(levels), max(levels), terms
@@ -259,7 +260,7 @@ def _arrow_matrix(
             entry = acc[slot[(piece.family, piece.index)]][c]
             entry.setdefault(piece.level, [0] * (n - 1))[piece.label] += w
     return tuple(
-        tuple(MassPoly.from_dict(n, {e: FusionVec(n, tuple(r)) for e, r in entry.items()}) for entry in row)
+        tuple(MassPoly.from_dict(n, {e: tuple(r) for e, r in entry.items()}) for entry in row)
         for row in acc
     )
 
@@ -402,8 +403,8 @@ def path_terms(auto: MassAutomaton, path: PathWitness) -> tuple[Terms, Terms, Te
     ``fusion.product_tree`` takes the path's runs, last run first, with
     each arrow's cached ``Arrow.leaf``: a run of mult steps is one power,
     raised by repeated squaring on the packed entries, so nothing walks
-    the expanded arrows.  The terms are what the CLI writes; nothing is
-    checked or built per term.
+    the expanded arrows.  ``MassPoly`` takes the terms as they are
+    (``path_matrix``), and nothing is built per term.
     """
     return product_tree(auto.n, [(arrow.leaf, mult) for arrow, mult in reversed(path.runs)])
 
@@ -412,13 +413,13 @@ def path_matrix(auto: MassAutomaton, path: PathWitness) -> MassMatrix:
     """Ordered product M(e_k) ... M(e_1) as a ``MassMatrix``; the empty path gives the identity.
 
     It is ``path_terms``, each of the four entries built once through the
-    checking ``MassPoly.from_terms``.
+    checking ``MassPoly`` constructor.
     """
     return _mass_matrix(auto.n, path_terms(auto, path))
 
 
 def _mass_matrix(n: int, terms: tuple[Terms, Terms, Terms, Terms]) -> MassMatrix:
-    a, b, c, d = (MassPoly.from_terms(n, entry) for entry in terms)
+    a, b, c, d = (MassPoly(n, entry) for entry in terms)
     return ((a, b), (c, d))
 
 
@@ -564,11 +565,23 @@ def log_pf(path: PathWitness, t: float) -> float:
 
 
 def pf_eigenvalue(matrix: MassMatrix, t: float) -> float:
-    """Largest eigenvalue of the (entrywise nonnegative) matrix at parameter t."""
-    a = eval_mass(matrix[0][0], t)
-    b = eval_mass(matrix[0][1], t)
-    c = eval_mass(matrix[1][0], t)
-    d = eval_mass(matrix[1][1], t)
+    """Largest eigenvalue of the (entrywise nonnegative) matrix at parameter t.
+
+    An entry past the floats (``eval_mass`` gives inf) makes the value
+    inf on the diagonal, or off it when the other off-diagonal entry is
+    nonzero; otherwise the matrix is triangular and the value is its
+    larger diagonal entry.  Finite entries are scaled by an exact power
+    of two first, so neither tr^2 nor the determinant overflows.
+    """
+    a, b, c, d = (eval_mass(entry, t) for row in matrix for entry in row)
+    if math.inf in (a, d):
+        return math.inf
+    if math.inf in (b, c):
+        return math.inf if b and c else max(a, d)
+    a, b, c, d, e = _rescaled(a, b, c, d)
     tr, det = a + d, a * d - b * c
     disc = max(tr * tr - 4.0 * det, 0.0)
-    return 0.5 * (tr + math.sqrt(disc))
+    try:
+        return math.ldexp(0.5 * (tr + math.sqrt(disc)), e)
+    except OverflowError:
+        return math.inf

@@ -41,11 +41,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from operator import lt
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .fusion import Leaf, delta_value, leaf, product_tree
+from .fusion import LaurentTerms, Leaf, _pf_rows, leaf, product_tree
 
 if TYPE_CHECKING:
     import numpy as np
@@ -282,37 +281,16 @@ def _scan_runs(text: str) -> tuple[tuple[int, int], ...]:
 # signed Laurent arithmetic in q
 
 
-@dataclass(frozen=True)
-class QLaurent:
+class QLaurent(LaurentTerms):
     """Laurent polynomial in q; coefficients are signed class combinations.
 
-    The constructor checks that the terms are canonical (sorted, distinct
-    exponents, nonzero tuples of n - 1 ints), so equal means equal terms.
+    A ``fusion.LaurentTerms`` whose coefficients may be negative: its
+    constructor checks that the terms are canonical, so equal means
+    equal terms.
     """
 
-    n: int
-    terms: tuple[tuple[int, tuple[int, ...]], ...]  # (exponent, signed vector)
-
-    def __post_init__(self):
-        if not self.terms:
-            return
-        exps, vecs = zip(*self.terms)
-        if not all(map(lt, exps, exps[1:])):
-            raise ValueError("terms must be sorted by exponent and distinct")
-        if not all(map(isinstance, vecs, repeat(tuple))) or set(map(len, vecs)) != {self.n - 1}:
-            raise ValueError(f"expected a tuple of {self.n - 1} coefficients for n={self.n}")
-        if not all(map(any, vecs)):
-            raise ValueError("zero coefficient must not be stored")
-
-    @classmethod
-    def zero(cls, n: int) -> QLaurent:
-        return cls(n, ())
-
-    @classmethod
-    def from_dict(cls, n: int, d: dict[int, tuple[int, ...]]) -> QLaurent:
-        return cls(
-            n, tuple(sorted((e, v) for e, v in d.items() if any(v)))
-        )
+    KEY = "q"
+    SIGNED = True
 
     @classmethod
     def term(cls, n: int, e: int, vec: tuple[int, ...]) -> QLaurent:
@@ -322,20 +300,10 @@ class QLaurent:
     def scalar(cls, n: int, value: int) -> QLaurent:
         return cls.term(n, 0, (value,) + (0,) * (n - 2))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def eval_coxeter(self) -> float:
         """Specialise q = -1 and take Perron-Frobenius dimensions."""
-        total = 0.0
-        for e, vec in self.terms:
-            total += (-1) ** (e % 2) * sum(
-                c * delta_value(self.n, a) for a, c in enumerate(vec)
-            )
-        return total
-
-    def to_json(self) -> list[dict]:
-        return [{"q": e, "coeffs": list(v)} for e, v in self.terms]
+        values = _pf_rows(self.n, map(itemgetter(1), self.terms))
+        return sum((-x if e % 2 else x for (e, _), x in zip(self.terms, values)), 0.0)
 
 
 BurauMatrix = tuple[tuple[QLaurent, QLaurent], tuple[QLaurent, QLaurent]]

@@ -31,11 +31,10 @@ supports (``automaton.path_zero_pattern``) and the pseudo-Anosov growth
 from an exactly rescaled float product of the runs (``automaton.log_pf``),
 both with powers by repeated squaring, so classification forms no exact
 matrix product.  The exact matrix M(p) is taken on first read of
-``matrix_terms`` or ``matrix`` of ``ClassificationResult`` or
-``LogPFGrowth`` (the two share one product) and kept with the result:
-``matrix_terms`` holds the four entries as the kernel's terms
-(``automaton.path_terms``), which is all the CLI writes, and ``matrix``
-builds the checked ``MassPoly`` entries from them.
+``matrix`` of ``ClassificationResult`` or ``LogPFGrowth`` (the two share
+one product) and kept with the result: its entries are ``MassPoly``
+built from the kernel's terms (``automaton.path_terms``) as they are,
+and the CLI writes them from there.
 
 Mass growths: periodic beta^k = gamma^(l n) has h_t = -(2l/k) t;
 reducible sigma_i^k chi^l has the piecewise-linear growth of
@@ -71,7 +70,6 @@ from .braidword import (
     to_normal_form,
     twist_modulus,
 )
-from .fusion import Terms
 from .twistcalc import (
     FoldedKey,
     SemistableUnit,
@@ -148,21 +146,17 @@ class LogPFGrowth:
     a call at a recent t costs O(runs * log multiplicity).  The scale is
     an exact power of two and the levels an integer sum, so the value
     does not overflow at large |t| or drift with the multiplicities.  The
-    exact M(p) is taken on first read of ``matrix_terms`` (the kernel's
-    terms, ``automaton.path_terms``) and kept; ``matrix`` builds its
-    ``MassPoly`` entries from them on first read.
+    exact M(p) is taken on first read of ``matrix``, its ``MassPoly``
+    entries built from the kernel's terms (``automaton.path_terms``), and
+    kept.
     """
 
     auto: MassAutomaton = field(repr=False, compare=False)
     path: PathWitness
 
     @cached_property
-    def matrix_terms(self) -> tuple[Terms, Terms, Terms, Terms]:
-        return am.path_terms(self.auto, self.path)
-
-    @cached_property
     def matrix(self) -> MassMatrix:
-        return am._mass_matrix(self.auto.n, self.matrix_terms)
+        return am._mass_matrix(self.auto.n, am.path_terms(self.auto, self.path))
 
     def evaluate(self, t: float) -> float:
         return am.log_pf(self.path, t)
@@ -210,21 +204,13 @@ class ClassificationResult:
     rounds: int  # conjugation rounds used
 
     @cached_property
-    def matrix_terms(self) -> tuple[Terms, Terms, Terms, Terms] | None:
-        """Exact M(p) of the closed path as ``automaton.path_terms``, on first read; None without a path."""
-        if isinstance(self.growth, LogPFGrowth):
-            return self.growth.matrix_terms
-        if self.path is None:
-            return None
-        return am.path_terms(_automaton(self.n), self.path)
-
-    @cached_property
     def matrix(self) -> MassMatrix | None:
-        """Exact M(p) of the closed path, built from ``matrix_terms`` on first read; None without a path."""
+        """Exact M(p) of the closed path, on first read; None without a path."""
         if isinstance(self.growth, LogPFGrowth):
             return self.growth.matrix
-        terms = self.matrix_terms
-        return None if terms is None else am._mass_matrix(self.n, terms)
+        if self.path is None:
+            return None
+        return am._mass_matrix(self.n, am.path_terms(_automaton(self.n), self.path))
 
     def h0(self) -> float:
         return self.growth.evaluate(0.0)

@@ -36,11 +36,11 @@ that rounds to zero is printed as 0, never as -0.  Output is valid JSON
 and never holds NaN or an infinity.
 
 ``classify --json`` writes M(p) (``matrix`` and ``growth.matrix``) and
-``matrix_at_0`` from the kernel's terms (``automaton.path_terms``):
-each entry's JSON text is one format per term, the matrix text is
-written once for both fields, and ``matrix_at_0`` is summed in
-``eval_mass``'s order.  ``burau --json`` writes its entries' terms the
-same way.
+``matrix_at_0`` from the result's checked ``MassPoly`` entries
+(``res.matrix``), which hold the kernel's terms as they are: each
+entry's JSON text is one format per term, the matrix text is written
+once for both fields, and ``matrix_at_0`` is ``eval_mass`` at t = 0.
+``burau --json`` writes its ``QLaurent`` entries the same way.
 """
 
 from __future__ import annotations
@@ -50,17 +50,14 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import itemgetter
 
 from . import automaton as am
 from .braidword import MAX_N, WordSyntaxError, burau, parse_word
 from .classify import ClassificationResult, LogPFGrowth, _estimate, classify
 from .classify import estimate_growth  # noqa: F401  the bench tracer wraps cli.estimate_growth
-from .fusion import Terms, check_nonnegative, terms_at_0
-from .fusion import eval_mass  # noqa: F401  the bench tracer wraps cli.eval_mass
+from .fusion import eval_mass
 
 
 def _precision() -> int:
@@ -114,15 +111,15 @@ _nonnegative_int = _checked(int, lambda k: k >= 0, "an integer >= 0")
 _LOG_FLOAT_MAX_TIMES_2 = math.log(2) + math.log(sys.float_info.max)
 
 
-def _matrix_json(entries: Iterable[Terms], key: str) -> str:
-    """A 2x2 matrix of ``Terms`` entries as the JSON text json.dumps writes for
-    [[[{key: e, "coeffs": [c, ...]}, ...], ...], ...], one %-format per term.
+def _matrix_json(matrix) -> str:
+    """A 2x2 matrix of ``fusion.LaurentTerms`` entries as the JSON text json.dumps writes
+    for the entries' ``to_json()``, one %-format per term.
 
     A term formats its row as a tuple; the matrix text holds no other
     parenthesis, so its parentheses become brackets in one pass.
     """
-    term = '{"%s": %%d, "coeffs": %%s}' % key
-    a, b, c, d = (", ".join(map(term.__mod__, entry)) for entry in entries)
+    term = '{"%s": %%d, "coeffs": %%s}' % matrix[0][0].KEY
+    a, b, c, d = (", ".join(map(term.__mod__, entry.terms)) for row in matrix for entry in row)
     return f"[[[{a}], [{b}]], [[{c}], [{d}]]]".replace("(", "[").replace(")", "]")
 
 
@@ -150,9 +147,7 @@ def _classification_json(res: ClassificationResult, t: float) -> str:
     if res.braid_type == "pseudo_anosov" and h0 > _LOG_FLOAT_MAX_TIMES_2 + 1e-9 * h0:
         # fail as the first entry of matrix_at_0 would, before M(p) is built
         _finite(math.inf)
-    terms = res.matrix_terms
-    if terms is not None:
-        check_nonnegative(map(itemgetter(1), chain.from_iterable(terms)))
+    matrix = res.matrix
     report = {
         "n": res.n,
         "type": res.braid_type,
@@ -187,14 +182,14 @@ def _classification_json(res: ClassificationResult, t: float) -> str:
                 chain.from_iterable(repeat(_arrow_json(a), mult) for a, mult in res.path.runs)
             ),
         }
-    if terms is not None:
-        a, b, c, d = (terms_at_0(res.n, entry) for entry in terms)
+    if matrix is not None:
+        a, b, c, d = (eval_mass(entry, 0.0) for row in matrix for entry in row)
         report["matrix"] = None
         report["matrix_at_0"] = [[_round(a), _round(b)], [_round(c), _round(d)]]
     if t:
         report["t"] = _round(t)
         report["h_at_t"] = _round(res.growth.evaluate(t))
-    return _with_matrix(report, None if terms is None else _matrix_json(terms, "e"))
+    return _with_matrix(report, None if matrix is None else _matrix_json(matrix))
 
 
 def _human_classification(res: ClassificationResult) -> str:
@@ -236,8 +231,7 @@ def _run_burau(args) -> int:
     for text in _gather_words(args):
         matrix = burau(parse_word(text, args.n))
         if args.json:
-            entries = (matrix[r][c].terms for r in range(2) for c in range(2))
-            print(_with_matrix({"n": args.n, "word": text, "matrix": None}, _matrix_json(entries, "q")))
+            print(_with_matrix({"n": args.n, "word": text, "matrix": None}, _matrix_json(matrix)))
         else:
             for r in range(2):
                 row = []

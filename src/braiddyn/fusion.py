@@ -10,13 +10,18 @@ presentation Z[w]/(D_{n-1}(w)): the defining Chebyshev polynomial is
 reducible for general n, the quotient has zero divisors, and the basis
 representation keeps zero-detection exact.
 
-A ``MassPoly`` is a Laurent polynomial in s = e^t whose coefficients are
-FusionVecs.  These are the entries of all mass matrices: the exponent of s
-records the level (cohomological shift minus internal shift) of a
-summand, the FusionVec records which simple classes decorate it.  Numeric
-evaluation sends [Pi_a] to its Perron-Frobenius dimension
-Delta_a(2 cos(pi/n)) and s to e^t; all structural decisions (zero
-patterns) are made on the symbolic side, never on floats.
+A ``MassPoly`` is a Laurent polynomial in s = e^t with nonnegative
+fusion-ring coefficients.  These are the entries of all mass matrices:
+the exponent of s records the level (cohomological shift minus internal
+shift) of a summand, the coefficient row which simple classes decorate
+it.  It is one kind of ``LaurentTerms``, which holds the kernel's
+``Terms`` as they are and checks their canonical form once; the signed
+Burau entries ``braidword.QLaurent`` are the other.  ``FusionVec`` is
+the ring API (``fuse``, ``ring_mul``, ``pf_dim``, ``FusionVec.fold``).
+Numeric evaluation sends [Pi_a] to its Perron-Frobenius dimension
+Delta_a(2 cos(pi/n)) and s to e^t, a row at a time by one routine
+(``_pf_rows``); all structural decisions (zero patterns) are made on the
+symbolic side, never on floats.
 
 Every exact product in the package runs through one kernel,
 ``product_tree``, on Kronecker-packed big ints (Harvey, arXiv:0712.4046).
@@ -60,10 +65,10 @@ buffer, are read back in C-level passes (``_read_terms``): each slot's
 top bit is flipped back, slots of at most 8 bytes are read through one
 ``memoryview.cast`` to C ints, the labels are transposed into rows, and
 zero rows are dropped.  ``product_tree`` hands each entry back as
-``Terms``, (exponent, coefficient row) pairs; ``MassPoly.from_terms``
-and ``braidword.QLaurent`` check them in bulk, and ``terms_at_0``
-evaluates them at t = 0 as ``eval_mass`` does, with no per-term object.
-Signed coefficients occur only in the kernel and in the Burau entries.
+``Terms``, (exponent, coefficient row) pairs, which ``MassPoly`` and
+``braidword.QLaurent`` take as they are and check in bulk; ``eval_mass``
+reads them in C-level passes too, with no per-term object.  Signed
+coefficients occur only in the kernel and in the Burau entries.
 ``mass_mul`` and ``ring_mul`` are one-entry products through the same
 kernel.
 """
@@ -71,18 +76,18 @@ kernel.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, compress, repeat
-from operator import attrgetter, itemgetter, lt
-from typing import NamedTuple
+from operator import add, itemgetter, lt, mul
+from typing import ClassVar, NamedTuple
 
 __all__ = [
     "FusionVec",
+    "LaurentTerms",
     "MassPoly",
     "chebyshev",
     "delta_value",
@@ -95,7 +100,6 @@ __all__ = [
     "mass_mul",
     "eval_mass",
     "check_nonnegative",
-    "terms_at_0",
     "Terms",
 ]
 
@@ -184,10 +188,7 @@ class FusionVec:
         [Pi_{n-2}], so folding is a ring congruence; it identifies
         exactly the classes with equal Perron-Frobenius dimension.
         """
-        out = [0] * (self.n - 1)
-        for a, c in enumerate(self.coeffs):
-            out[min(a, self.n - 2 - a)] += c
-        return FusionVec(self.n, tuple(out))
+        return FusionVec(self.n, _folded(self.n, self.coeffs))
 
     def __add__(self, other: FusionVec) -> FusionVec:
         if self.n != other.n:
@@ -198,6 +199,13 @@ class FusionVec:
         if m < 0:
             raise ValueError("fusion coefficients must stay nonnegative")
         return FusionVec(self.n, tuple(m * c for c in self.coeffs))
+
+
+def _folded(n: int, row: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (n - 1)
+    for a, c in enumerate(row):
+        out[min(a, n - 2 - a)] += c
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -613,8 +621,7 @@ def product_tree(n: int, runs) -> tuple[Terms, Terms, Terms, Terms]:
     coefficients (``_node_mul``): signed (Burau) entries cancel, and a
     bound fixed in advance does not see that.  Each entry comes back as
     its nonzero terms (exponent, coefficient row) in ascending exponent
-    order, the form the checking constructors take (``MassPoly.from_terms``,
-    ``braidword.QLaurent``).
+    order, the form ``LaurentTerms`` takes.
     """
     table = _fusion_table(n)
     runs = list(runs) or [(leaf(n, _ONE), 1)]
@@ -647,78 +654,102 @@ def ring_mul(u: FusionVec, v: FusionVec) -> FusionVec:
     return FusionVec(u.n, terms[0][1]) if terms else FusionVec.zero(u.n)
 
 
+def _pf_rows(n: int, rows: Iterable[tuple[int, ...]]) -> Iterator[float]:
+    """The PF dimension sum(map(mul, row, Delta)) of each coefficient row, in C-level passes.
+
+    A coefficient past the float range raises OverflowError when its
+    row is read.
+    """
+    return map(sum, map(map, repeat(mul), rows, repeat(_delta_table(n))))
+
+
 def pf_dim(n: int, v: FusionVec) -> float:
     """Ring homomorphism to R sending [Pi_a] to Delta_a(2 cos(pi/n))."""
     _check_n(n)
     if v.n != n:
         raise ValueError("mismatched fusion parameters")
-    table = _delta_table(n)
     try:
-        return sum(c * table[a] for a, c in enumerate(v.coeffs))
+        return next(_pf_rows(n, (v.coeffs,)))
     except OverflowError:  # a coefficient past the float range: so is the value
         return math.inf
 
 
 @dataclass(frozen=True)
-class MassPoly:
-    """Laurent polynomial in s = e^t with FusionVec coefficients.
+class LaurentTerms:
+    """A Laurent polynomial with fusion-ring coefficients, held as the kernel's ``Terms``.
 
-    ``terms`` maps the exponent of s to a nonzero FusionVec; the empty
-    polynomial is zero.  Evaluation at any real t is nonnegative and
-    vanishes only for the empty polynomial.
+    ``terms`` are (exponent, coefficient row) pairs, a row being a tuple
+    of n - 1 ints, one per label; the empty tuple is zero.  The
+    constructor checks the canonical form in bulk passes (exponents
+    ascending and distinct, rows tuples of n - 1 ints, no zero row, and
+    no negative coefficient unless ``SIGNED``), so equal polynomials have
+    equal terms.  The two kinds are subclasses that fix the variable's
+    JSON key ``KEY`` and ``SIGNED``: ``MassPoly`` (s, nonnegative) and
+    ``braidword.QLaurent`` (q, signed).
     """
 
+    KEY: ClassVar[str]
+    SIGNED: ClassVar[bool]
+
     n: int
-    terms: tuple[tuple[int, FusionVec], ...]  # sorted by exponent, no zero vecs
+    terms: Terms
 
     def __post_init__(self):
         _check_n(self.n)
         if not self.terms:
             return
-        exps, vecs = zip(*self.terms)
+        # two lists, not zip(*terms): that passes each term as an argument
+        exps, rows = list(map(itemgetter(0), self.terms)), list(map(itemgetter(1), self.terms))
         if not all(map(lt, exps, exps[1:])):
             raise ValueError("terms must be sorted by exponent and distinct")
-        if set(map(attrgetter("n"), vecs)) != {self.n}:
-            raise ValueError("mismatched fusion parameters in term")
-        if not all(map(any, map(attrgetter("coeffs"), vecs))):
+        if not all(map(isinstance, rows, repeat(tuple))) or set(map(len, rows)) != {self.n - 1}:
+            raise ValueError(f"expected a tuple of {self.n - 1} coefficients for n={self.n}")
+        if not all(map(any, rows)):
             raise ValueError("zero coefficient must not be stored")
+        if not self.SIGNED:
+            check_nonnegative(rows)
 
     @classmethod
-    def from_dict(cls, n: int, d: dict[int, FusionVec]) -> MassPoly:
-        return cls(n, tuple(sorted((e, v) for e, v in d.items() if not v.is_zero())))
-
-    @classmethod
-    def from_terms(cls, n: int, terms: Terms) -> MassPoly:
-        """From ``Terms`` as ``product_tree`` returns them, each row checked by ``FusionVec``."""
-        if not terms:
-            return cls(n, ())
-        exps, rows = zip(*terms)
-        return cls(n, tuple(zip(exps, map(FusionVec, repeat(n), rows))))
-
-    @classmethod
-    def zero(cls, n: int) -> MassPoly:
+    def zero(cls, n: int):
         return cls(n, ())
+
+    @classmethod
+    def from_dict(cls, n: int, d: dict[int, tuple[int, ...]]):
+        """From exponent -> coefficient row; zero rows are dropped."""
+        return cls(n, tuple(sorted((e, v) for e, v in d.items() if any(v))))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def to_json(self) -> list[dict]:
+        return [{self.KEY: e, "coeffs": list(v)} for e, v in self.terms]
+
+
+class MassPoly(LaurentTerms):
+    """Laurent polynomial in s = e^t with nonnegative fusion-ring coefficients.
+
+    Evaluation at any real t is nonnegative and vanishes only for the
+    zero polynomial.
+    """
+
+    KEY = "e"
+    SIGNED = False
 
     @classmethod
     def monomial(cls, n: int, a: int, e: int = 0, mult: int = 1) -> MassPoly:
         """mult * [Pi_a] * s^e"""
-        if mult == 0:
-            return cls.zero(n)
-        return cls.from_dict(n, {e: FusionVec.simple(n, a).scaled(mult)})
+        return cls.from_dict(n, {e: FusionVec.simple(n, a).scaled(mult).coeffs})
 
     @classmethod
     def one(cls, n: int) -> MassPoly:
         return cls.monomial(n, 0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: MassPoly) -> MassPoly:
         if self.n != other.n:
             raise ValueError("mismatched fusion parameters")
-        acc = {e: v for e, v in self.terms}
+        acc = dict(self.terms)
         for e, v in other.terms:
-            acc[e] = acc[e] + v if e in acc else v
+            acc[e] = tuple(map(add, acc[e], v)) if e in acc else v
         return MassPoly.from_dict(self.n, acc)
 
     def shifted(self, e: int) -> MassPoly:
@@ -727,24 +758,18 @@ class MassPoly:
 
     def fold(self) -> MassPoly:
         """Fold every coefficient; see :meth:`FusionVec.fold`."""
-        return MassPoly.from_dict(self.n, {e: v.fold() for e, v in self.terms})
-
-    def to_json(self) -> list[dict]:
-        return [{"e": e, "coeffs": list(v.coeffs)} for e, v in self.terms]
+        return MassPoly.from_dict(self.n, {e: _folded(self.n, v) for e, v in self.terms})
 
     @classmethod
     def from_json(cls, n: int, data: list[dict]) -> MassPoly:
-        return cls.from_dict(
-            n, {int(t["e"]): FusionVec(n, tuple(t["coeffs"])) for t in data}
-        )
+        return cls.from_dict(n, {int(t["e"]): tuple(t["coeffs"]) for t in data})
 
 
 def mass_mul(p: MassPoly, q: MassPoly) -> MassPoly:
     """Product of mass polynomials; exponents add, coefficients fuse."""
     if p.n != q.n:
         raise ValueError("mismatched fusion parameters")
-    x, y = ([(e, v.coeffs) for e, v in r.terms] for r in (p, q))
-    return MassPoly.from_terms(p.n, _entry_product(p.n, x, y))
+    return MassPoly(p.n, _entry_product(p.n, p.terms, q.terms))
 
 
 def _entry_product(n: int, x, y) -> Terms:
@@ -757,19 +782,17 @@ def _entry_product(n: int, x, y) -> Terms:
 
 
 def eval_mass(p: MassPoly, t: float) -> float:
-    """Evaluate at s = e^t; the result is >= 0, and 0 only for the zero polynomial."""
-    return sum(pf_dim(p.n, v) * math.exp(e * t) for e, v in p.terms)
+    """Evaluate at s = e^t; the result is >= 0, and 0 only for the zero polynomial.
 
-
-def terms_at_0(n: int, terms: Terms) -> float:
-    """``eval_mass(MassPoly.from_terms(n, terms), 0.0)`` bit for bit, with no per-term object.
-
-    Each row's PF dimension is summed over its labels and the rows over
-    their exponents, in ``eval_mass``'s order (s^e is 1 at t = 0); a
-    coefficient past the float range makes the value inf, as in ``pf_dim``.
+    The rows' PF dimensions (``_pf_rows``) times e^(e t), summed in
+    exponent order, in C-level passes.  A coefficient or an e^(e t) past
+    the float range (as at large |t|) makes the value inf.  At t = 0
+    every e^(e t) is 1.0, so the value is the plain sum of the rows' PF
+    dimensions, bit for bit.
     """
-    table = _delta_table(n)
+    terms = p.terms
+    weights = map(math.exp, map(mul, map(itemgetter(0), terms), repeat(t)))
     try:
-        return sum(map(sum, map(map, repeat(operator.mul), map(itemgetter(1), terms), repeat(table))))
+        return sum(map(mul, _pf_rows(p.n, map(itemgetter(1), terms)), weights))
     except OverflowError:
         return math.inf

@@ -57,7 +57,7 @@ def identity_matrix(n: int) -> MassMatrix:
 
 
 def scalar_matrix(n: int, label: int, exp: int) -> MassMatrix:
-    s = MassPoly.from_dict(n, {exp: FusionVec.simple(n, label)})
+    s = MassPoly.monomial(n, label, exp)
     zero = MassPoly.zero(n)
     return ((s, zero), (zero, s))
 
@@ -70,9 +70,7 @@ def support_column(
     for piece, w in letter_support(n, letter, u).items():
         for r, b in enumerate(basis):
             if (piece.family, piece.index) == (b.family, b.index):
-                rows[r] = rows[r] + MassPoly.from_dict(
-                    n, {piece.level: FusionVec.simple(n, piece.label).scaled(w)}
-                )
+                rows[r] = rows[r] + MassPoly.monomial(n, piece.label, piece.level, w)
                 break
         else:
             raise AssertionError(f"piece {piece} missed the target basis")
@@ -94,9 +92,9 @@ def build_by_wrap(n: int) -> MassAutomaton:
     # most once, contributing one central monomial factor (s^2 odd,
     # [Pi_{n-2}] s even).
     wrap = (
-        MassPoly.from_dict(n, {2: FusionVec.simple(n, 0)})
+        MassPoly.monomial(n, 0, 2)
         if n % 2
-        else MassPoly.from_dict(n, {1: FusionVec.simple(n, n - 2)})
+        else MassPoly.monomial(n, n - 2, 1)
     )
     base_letters = [TwistLetter(1, 0)] + ([TwistLetter(2, 0)] if n % 2 == 0 else [])
     base_matrices: dict = {}
@@ -196,7 +194,7 @@ def fold_log_pf(path: PathWitness, t: float) -> float:
         x = at_t.get(id(arrow))
         if x is None:
             terms = [
-                [(e, pf_dim(entry.n, vec)) for e, vec in entry.terms]
+                [(e, pf_dim(entry.n, FusionVec(entry.n, row))) for e, row in entry.terms]
                 for row in arrow.matrix
                 for entry in row
             ]

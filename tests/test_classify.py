@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import braiddyn.automaton as am
 from braiddyn.braidword import (
@@ -27,6 +27,7 @@ from braiddyn.classify import (
     growth_reducible,
     reducible_witness,
 )
+from braiddyn.fusion import MassPoly, eval_mass
 from estimator_oracle import iterate_by_levels
 from letter_oracle import conjugator_by_blocks, peel_by_letters, word_by_blocks
 from test_braidword import LETTER_NS
@@ -709,7 +710,7 @@ def test_verdict_and_growth_match_exact_route(n):
 
 
 def test_exact_matrix_is_built_once_and_only_on_demand(monkeypatch):
-    # the exact product is automaton.path_terms; matrix and matrix_terms share it
+    # the exact product is automaton.path_terms, taken once and shared by the result and its growth
     calls = []
     real = am.path_terms
 
@@ -724,15 +725,13 @@ def test_exact_matrix_is_built_once_and_only_on_demand(monkeypatch):
     assert res.matrix is res.growth.matrix
     assert res.growth.to_json()["matrix"][0][0] == res.matrix[0][0].to_json()
     assert len(calls) == 1
-    assert res.matrix_terms is res.growth.matrix_terms and len(calls) == 1
-    assert res.matrix_terms == real(am.build(5), res.path)
+    assert tuple(entry.terms for row in res.matrix for entry in row) == real(am.build(5), res.path)
     assert res.matrix == am.path_matrix(am.build(5), res.path)
 
     calls.clear()
     red = classify(5, parse_word("s2 s1 s2 s1^-1 s2 s1 s2^-1 s1 s2^3 s1", 5))
     assert red.braid_type == "reducible" and calls == []
     assert red.matrix is red.matrix and len(calls) == 1
-    assert red.matrix_terms is red.matrix_terms and len(calls) == 1
     assert classify(5, parse_word("s1 s2", 5)).matrix is None
 
 
@@ -741,8 +740,7 @@ def test_pseudo_anosov_growth_at_large_t():
     # log PF of a matrix with log-convex entries is convex in t
     res = classify(5, parse_word(LARGE_T_WORD, 5))
     assert res.braid_type == "pseudo_anosov"
-    with pytest.raises(OverflowError):
-        am.pf_eigenvalue(res.matrix, 300.0)
+    assert am.pf_eigenvalue(res.matrix, 300.0) == math.inf
     ts = (-1000.0, -300.0, 0.0, 300.0, 1000.0)
     hs = [res.growth.evaluate(t) for t in ts]
     assert all(math.isfinite(h) for h in hs)
@@ -753,11 +751,43 @@ def test_pseudo_anosov_growth_at_large_t():
         assert h == pytest.approx(_log_domain_log_pf(res.matrix, t), rel=1e-12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_exact_pf_eigenvalue_at_large_t_is_inf_not_an_error(data):
+    # e^(e t) past the floats makes an entry inf, not an OverflowError, and
+    # the eigenvalue inf, not inf - inf = nan; a finite nonzero one is the growth
+    n = data.draw(st.integers(3, 16))
+    runs = st.tuples(st.sampled_from((1, 2)), st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    res = classify(n, BraidWord(n, tuple(data.draw(st.lists(runs, min_size=2, max_size=10)))))
+    assume(res.braid_type == "pseudo_anosov")
+    for t in (-1000.0, -0.5, 0.5, 1000.0):
+        pf = am.pf_eigenvalue(res.matrix, t)
+        assert not math.isnan(pf)
+        if 0.0 < pf < math.inf:
+            h = res.growth.evaluate(t)
+            assert abs(math.log(pf) - h) <= 1e-9 * max(1.0, abs(h)), (t, pf, h)
+
+
+def test_exact_evaluation_past_the_floats_is_inf():
+    assert eval_mass(MassPoly.monomial(5, 0, 1), 1000.0) == math.inf
+    assert eval_mass(MassPoly.monomial(5, 0, -1), -1000.0) == math.inf
+    assert eval_mass(MassPoly.monomial(5, 0, 1), -1000.0) == 0.0
+    matrix = classify(5, parse_word("s1 s1 s2 s2", 5)).matrix
+    assert am.pf_eigenvalue(matrix, -1000.0) == math.inf
+    # inf off the diagonal, with the other off-diagonal entry zero: triangular
+    one, zero, big = MassPoly.one(5), MassPoly.zero(5), MassPoly.monomial(5, 0, 1)
+    assert am.pf_eigenvalue(((one, big), (zero, one)), 1000.0) == 1.0
+    assert am.pf_eigenvalue(((one, big), (big, one)), 1000.0) == math.inf
+    # finite entries past sqrt(float max): tr^2 and the determinant would overflow
+    huge = MassPoly.monomial(5, 0, 600)
+    assert am.pf_eigenvalue(((huge, huge), (huge, huge)), 1.0) == 2 * math.exp(600.0)
+
+
 def _log_domain_log_pf(matrix, t):
-    from braiddyn.fusion import pf_dim
+    from braiddyn.fusion import FusionVec, pf_dim
 
     def log_entry(p):
-        logs = [math.log(pf_dim(p.n, v)) + e * t for e, v in p.terms]
+        logs = [math.log(pf_dim(p.n, FusionVec(p.n, row))) + e * t for e, row in p.terms]
         if not logs:
             return -math.inf
         top = max(logs)

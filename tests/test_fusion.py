@@ -208,9 +208,7 @@ def test_fuse_symmetry(data):
 def test_mass_mul_exponents_add():
     p = MassPoly.monomial(5, 1, -1)  # [Pi_1] s^-1
     prod = mass_mul(p, p)
-    assert prod == MassPoly.from_dict(
-        5, {-2: FusionVec(5, (1, 0, 1, 0))}
-    )
+    assert prod == MassPoly.from_dict(5, {-2: (1, 0, 1, 0)})
 
 
 def test_eval_mass_examples():
@@ -223,14 +221,14 @@ def test_eval_mass_examples():
 
 
 def test_eval_mass_nonnegative():
-    p = MassPoly.from_dict(5, {-2: FusionVec(5, (1, 2, 0, 1)), 3: FusionVec.unit(5)})
+    p = MassPoly.from_dict(5, {-2: (1, 2, 0, 1), 3: FusionVec.unit(5).coeffs})
     for t in (-1.5, -0.3, 0.0, 0.4, 2.0):
         assert eval_mass(p, t) > 0
 
 
 def test_mass_poly_zero_coefficients_rejected():
     with pytest.raises(ValueError):
-        MassPoly(5, ((0, FusionVec.zero(5)),))
+        MassPoly(5, ((0, FusionVec.zero(5).coeffs),))
 
 
 def test_fusion_vec_rejects_negative():
@@ -238,8 +236,9 @@ def test_fusion_vec_rejects_negative():
         FusionVec(5, (1, -1, 0, 0))
 
 
-UNIT5 = FusionVec.unit(5)
+UNIT5 = FusionVec.unit(5).coeffs
 UNSORTED = "terms must be sorted by exponent and distinct"
+ROW_LENGTH = "expected a tuple of 4 coefficients for n=5"
 
 
 @pytest.mark.parametrize(
@@ -252,12 +251,15 @@ UNSORTED = "terms must be sorted by exponent and distinct"
         (lambda: MassPoly(2, ()), "rank-two fusion data needs n >= 3, got n=2"),
         (lambda: MassPoly(5, ((1, UNIT5), (0, UNIT5))), UNSORTED),
         (lambda: MassPoly(5, ((0, UNIT5), (2, UNIT5), (2, UNIT5))), UNSORTED),
-        (lambda: MassPoly(5, ((0, UNIT5), (1, FusionVec.zero(5)))), "zero coefficient must not be stored"),
-        (lambda: MassPoly(5, ((0, UNIT5), (1, FusionVec.unit(6)))), "mismatched fusion parameters in term"),
-        (lambda: MassPoly.from_terms(5, ((0, (1, 0, 0, 0)), (0, (0, 1, 0, 0)))), UNSORTED),
-        (lambda: MassPoly.from_terms(5, ((0, (1, 0, 0, 0)), (1, (0, 0, 1)))), "expected 4 coefficients for n=5, got 3"),
-        (lambda: MassPoly.from_terms(5, ((0, (1, 0, 0, 0)), (1, (0, -2, 1, 0)))), "fusion coefficients must be nonnegative"),
-        (lambda: MassPoly.from_terms(5, ((0, (1, 0, 0, 0)), (1, (0, 0, 0, 0)))), "zero coefficient must not be stored"),
+        (lambda: MassPoly(5, ((0, UNIT5), (1, FusionVec.zero(5).coeffs))), "zero coefficient must not be stored"),
+        # a row carries no n of its own: one of n=6 is a row of the wrong length,
+        # and two n meet only in arithmetic
+        (lambda: MassPoly(5, ((0, UNIT5), (1, FusionVec.unit(6).coeffs))), ROW_LENGTH),
+        (lambda: MassPoly.one(5) + MassPoly.one(6), "mismatched fusion parameters"),
+        (lambda: MassPoly(5, ((0, (1, 0, 0, 0)), (0, (0, 1, 0, 0)))), UNSORTED),
+        (lambda: MassPoly(5, ((0, (1, 0, 0, 0)), (1, (0, 0, 1)))), ROW_LENGTH),
+        (lambda: MassPoly(5, ((0, (1, 0, 0, 0)), (1, (0, -2, 1, 0)))), "fusion coefficients must be nonnegative"),
+        (lambda: MassPoly(5, ((0, (1, 0, 0, 0)), (1, (0, 0, 0, 0)))), "zero coefficient must not be stored"),
         (lambda: fusion.check_nonnegative([(1, 2), (0, -1)]), "fusion coefficients must be nonnegative"),
     ],
 )
@@ -267,8 +269,64 @@ def test_constructors_reject_with_their_messages(make, message):
         make()
 
 
+def expected_rejection(n, terms, signed):
+    """The message a canonical-form checker gives for ``terms``, None if they are canonical."""
+    exps = [e for e, _ in terms]
+    if any(a >= b for a, b in zip(exps, exps[1:])):
+        return UNSORTED
+    if any(not isinstance(row, tuple) or len(row) != n - 1 for _, row in terms):
+        return f"expected a tuple of {n - 1} coefficients for n={n}"
+    if not all(any(row) for _, row in terms):
+        return "zero coefficient must not be stored"
+    if not signed and any(c < 0 for _, row in terms for c in row):
+        return "fusion coefficients must be nonnegative"
+    return None
+
+
+def rejection(kind, n, terms):
+    try:
+        kind(n, terms)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_both_kinds_reject_malformed_terms_with_one_checker(data):
+    # unsorted or repeated exponents, a row of the wrong length, a row that is
+    # not a tuple and a zero row, alone or together, anywhere in the terms:
+    # MassPoly and QLaurent give the same message; only MassPoly rejects a
+    # negative coefficient
+    from braiddyn.braidword import QLaurent
+
+    n = data.draw(st.integers(3, 8))
+    low = data.draw(st.sampled_from((-3, 0)))
+    row = st.lists(st.integers(low, 3), min_size=n - 1, max_size=n - 1).filter(any).map(tuple)
+    exps = sorted(data.draw(st.sets(st.integers(-5, 5), min_size=1, max_size=5)))
+    terms = [(e, data.draw(row)) for e in exps]
+    for defect in data.draw(st.lists(st.sampled_from(("swap", "repeat", "length", "list", "zero")), max_size=2)):
+        i = data.draw(st.integers(0, len(terms) - 1))
+        e, r = terms[i]
+        if defect == "swap" and i + 1 < len(terms):
+            terms[i], terms[i + 1] = terms[i + 1], terms[i]
+        elif defect == "repeat":
+            terms.insert(i + 1, (e, data.draw(row)))
+        elif defect == "length":
+            terms[i] = (e, tuple(r) + (1,) if data.draw(st.booleans()) else tuple(r)[:-1])
+        elif defect == "list":
+            terms[i] = (e, list(r))
+        elif defect == "zero":
+            terms[i] = (e, (0,) * (n - 1))
+    terms = tuple(terms)
+    assert rejection(MassPoly, n, terms) == expected_rejection(n, terms, signed=False)
+    assert rejection(QLaurent, n, terms) == expected_rejection(n, terms, signed=True)
+    if expected_rejection(n, terms, signed=True) is not None:
+        assert rejection(MassPoly, n, terms) == rejection(QLaurent, n, terms)
+
+
 def test_mass_poly_json_round_trip():
-    p = MassPoly.from_dict(6, {-1: FusionVec(6, (1, 0, 2, 0, 1)), 4: FusionVec.unit(6)})
+    p = MassPoly.from_dict(6, {-1: (1, 0, 2, 0, 1), 4: FusionVec.unit(6).coeffs})
     assert MassPoly.from_json(6, p.to_json()) == p
     assert p.to_json() == [
         {"e": -1, "coeffs": [1, 0, 2, 0, 1]},
@@ -317,7 +375,7 @@ def oracle_laurent_dot(n, pairs):
 
 
 def as_dict(p):
-    return {e: v.coeffs for e, v in p.terms}
+    return dict(p.terms)
 
 
 @st.composite
@@ -329,7 +387,7 @@ def mass_poly(draw, n):
             max_size=4,
         )
     )
-    return MassPoly.from_dict(n, {e: FusionVec(n, tuple(c)) for e, c in terms.items()})
+    return MassPoly.from_dict(n, {e: FusionVec(n, tuple(c)).coeffs for e, c in terms.items()})
 
 
 @settings(max_examples=80, deadline=None)
@@ -351,10 +409,10 @@ def test_mass_mul_and_fused_entry_match_oracle(data):
     # one entry of a 2x2 product is the fused a*b + c*d, in one accumulation
     zero = MassPoly.zero(n)
     x, y = (
-        leaf(n, [[(e, v.coeffs) for e, v in p.terms] for p in mat])
+        leaf(n, [p.terms for p in mat])
         for mat in ((a, c, zero, zero), (b, zero, d, zero))
     )
-    assert as_dict(MassPoly.from_terms(n, product_tree(n, [(x, 1), (y, 1)])[0])) == want
+    assert as_dict(MassPoly(n, product_tree(n, [(x, 1), (y, 1)])[0])) == want
 
 
 def test_negative_coefficient_from_a_product_is_rejected():
@@ -367,7 +425,7 @@ def test_negative_coefficient_from_a_product_is_rejected():
         ring_mul(bad, FusionVec.simple(5, 1))
     planted = object.__new__(MassPoly)
     object.__setattr__(planted, "n", 5)
-    object.__setattr__(planted, "terms", ((1, bad),))
+    object.__setattr__(planted, "terms", ((1, bad.coeffs),))
     with pytest.raises(ValueError, match="nonnegative"):
         mass_mul(planted, MassPoly.monomial(5, 2, -1))
 
@@ -382,7 +440,7 @@ def test_products_past_the_floats():
     # the slot width comes from float PF masses; coefficients past 2^1024 still fit
     u, v = FusionVec(5, (2**2000, 1, 0, 7)), FusionVec(5, (0, 2**1500 - 1, 3, 2**1100))
     assert list(ring_mul(u, v).coeffs) == oracle_row_mul(5, u.coeffs, v.coeffs)
-    p, q = MassPoly.from_dict(5, {-1: u, 2: v}), MassPoly.from_dict(5, {0: v, 3: u})
+    p, q = MassPoly.from_dict(5, {-1: u.coeffs, 2: v.coeffs}), MassPoly.from_dict(5, {0: v.coeffs, 3: u.coeffs})
     assert as_dict(mass_mul(p, q)) == oracle_laurent_dot(5, [(as_dict(p), as_dict(q))])
 
 
@@ -590,14 +648,12 @@ def test_span_is_the_width_of_the_nonzero_slots(case):
 def test_mass_mul_of_a_long_operand():
     # packing and reading slots are linear in the operand's length
     n, rng = 5, random.Random(7)
-    p = MassPoly.from_dict(
-        n, {e: FusionVec(n, tuple(rng.randint(0, 9) for _ in range(n - 1))) for e in range(100_000)}
-    )
-    q = MassPoly.from_dict(n, {-2: FusionVec.simple(n, 1), 3: FusionVec(n, (2, 0, 0, 1))})
+    p = MassPoly.from_dict(n, {e: tuple(rng.randint(0, 9) for _ in range(n - 1)) for e in range(100_000)})
+    q = MassPoly.from_dict(n, {-2: FusionVec.simple(n, 1).coeffs, 3: (2, 0, 0, 1)})
     want = oracle_laurent_dot(n, [(as_dict(p), as_dict(q))])
     assert as_dict(mass_mul(p, q)) == want
     # far-apart exponents: the slots between them are skipped block by block
-    sparse = MassPoly.from_dict(n, {-5: FusionVec.simple(n, 2), 300_000: FusionVec(n, (1, 0, 4, 0))})
+    sparse = MassPoly.from_dict(n, {-5: FusionVec.simple(n, 2).coeffs, 300_000: (1, 0, 4, 0)})
     assert as_dict(mass_mul(sparse, q)) == oracle_laurent_dot(n, [(as_dict(sparse), as_dict(q))])
 
 
@@ -640,3 +696,17 @@ def test_far_apart_slots_are_read_past_the_zero_blocks(monkeypatch, size):
     monkeypatch.setattr(fusion, "_signed", lambda buf, size: read.append(len(buf) // size) or real(buf, size))
     assert fusion._read_terms(n, -7, size, entry) == ((-7, (0, 5, 0, 0)), (gap - 7, (0, 0, 0, low)))
     assert 0 < sum(read) <= 2 * 2 * fusion._BLOCK  # two labels, at most two blocks each
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_signed_writes_the_hosts_byte_order(monkeypatch, size):
+    # the slots come back as C ints of 1, 2, 4 or 8 bytes in the host's byte
+    # order; _LITTLE = False runs the big-endian branch on any host
+    half = 1 << (8 * size - 1)
+    digits = [0, 1, -1, half - 1, -half, (half - 1) // 3, -(half // 5), 7]
+    buf = bytes(fusion._pack({(0, e): d for e, d in enumerate(digits) if d}, 0, size, len(digits))[0])
+    wide = 1 << (size - 1).bit_length()
+    for little, order in ((True, "little"), (False, "big")):
+        monkeypatch.setattr(fusion, "_LITTLE", little)
+        got = fusion._signed(buf, size)
+        assert bytes(got) == b"".join(d.to_bytes(wide, order, signed=True) for d in digits)

@@ -5,7 +5,7 @@ CLI call: ``classify --json`` and ``burau --json`` on a batch of random
 words per n (read from stdin with ``--word -``), the same two on a few
 long words (``LONG_WORDS``: long runs, entries with coefficients above
 64 bits, and signed entries that cancel), and ``automaton --json`` for
-n = 3..8.  ``classify`` drops its float fields (``h0``, ``t``,
+n = 3..19 and 32.  ``classify`` drops its float fields (``h0``, ``t``,
 ``h_at_t``, ``matrix_at_0``), whose last digits may depend on the
 platform's libm; everything left is exact.  A change to any exact field, its order, or the output's
 dependence on ``PYTHONHASHSEED`` shows up as a changed digest.
@@ -44,6 +44,18 @@ GOLDEN = {
     "automaton n=6": "55611e657dbaa1f03259989a8852f881044944d0753596b64e631cde1cc466f6",
     "automaton n=7": "ca2d093c1d3a93125fbcb7b8fd51eeeaabbe492f413c9beca209858185dfce76",
     "automaton n=8": "c7f8966b73d08893f0f228dfe2ff4c9e5fa391e46540b967580b29efcb3f5369",
+    "automaton n=9": "3ea16fa512bc2fb5a10363b8c99b3647be67c55ada8584bb595cfb7c8670ff44",
+    "automaton n=10": "68b8f37853691b88cd8c57ed3f4818b23b3bab6cb66a78a86dde7a1dd4b08f90",
+    "automaton n=11": "2f828707198a5409e9aaaf1029f007a8ac71898664ed292bf9cfbd6afb2781bf",
+    "automaton n=12": "9e7037b78b6acf702c9d273f3d927b7d34d05b516e9a1d09ee598f1299c682e7",
+    "automaton n=13": "1d6ee14379735248a8063956c2b3611b2e388a7977f4feb4002af734e1d72e7c",
+    "automaton n=14": "d8c47196623b788f21930c54d1d8c75bd651a8b696792c400cc4acb0bd99c482",
+    "automaton n=15": "b45f6816a8e78fb297bc9898c3371ae3917c52fe6a17d8da4fb34bc5cabb056a",
+    "automaton n=16": "d7dc53bdbcc9f444377597ba7e87dc2ec4e90582fe611e6c212af9abee4a2ec0",
+    "automaton n=17": "c911913e5c9dfa3d9f834fc4c69918d93aad1667b62c3d4f5b23ad924a09ed04",
+    "automaton n=18": "7d006797acef6a0fc8d2c932015e308aab1bc01e284986f14febb34ba4b30cd2",
+    "automaton n=19": "20fd4a36f48bd780bc074e1feb8643fec91ae50809774ae3079f79b64f081db1",
+    "automaton n=32": "b23114eb27ce484907cf53f5272aef9118c81f290a1d126eefe03f554c59b6dc",
     "classify n=8 s1^-1000 s2^-1000": "06c0eb641e113fd8025035a9a8711969d9b04a43747d6523c8bcd27145ef70a9",
     "classify n=5 s1^20000 s2^-3": "b5865c20bcecab7c09324d617a06e35ffd19c8644a83dc157f93c114fc5406d4",
     "classify n=8 (s1^3 s2^-3)^40": "3c8dcadd4055e2d17afe9d6ac175b9d9a1b5257fe96e30e25a84641e2a749cf0",

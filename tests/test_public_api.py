@@ -48,6 +48,7 @@ def test_one_product_path():
             "_dense_rows",
             "SparseMatrix",
             "sparse_entry",
+            "terms_at_0",
         ),
         "braiddyn.automaton": ("mat_mul", "mass_dot"),
         "braiddyn.braidword": ("_mat_mul", "_svec_add", "_laurent_dot", "_sparse_generators"),
@@ -57,6 +58,16 @@ def test_one_product_path():
         assert [a for a in attrs if hasattr(module, a)] == [], name
     from braiddyn.automaton import Arrow
     from braiddyn.braidword import QLaurent
+    from braiddyn.classify import ClassificationResult, LogPFGrowth
+    from braiddyn.fusion import LaurentTerms, MassPoly
 
     assert "__mul__" not in vars(QLaurent) and "__add__" not in vars(QLaurent)
     assert "sparse" not in vars(Arrow)
+    # one exact term type: both kinds of Laurent polynomial check, build and
+    # write their terms through LaurentTerms, and M(p) is read only as res.matrix
+    assert not hasattr(MassPoly, "from_terms")
+    assert not hasattr(ClassificationResult, "matrix_terms")
+    assert not hasattr(LogPFGrowth, "matrix_terms")
+    for kind in (MassPoly, QLaurent):
+        assert issubclass(kind, LaurentTerms)
+        assert not {"__post_init__", "from_dict", "to_json", "zero", "is_zero"} & set(vars(kind))
