@@ -54,8 +54,8 @@ are the exact route, used when the matrix itself is wanted:
 ``path_terms`` hands the runs to ``fusion.product_tree``, which raises
 each to its multiplicity by repeated squaring on packed entries, and
 returns the entries as terms; ``path_matrix`` checks them into
-``MassPoly`` entries as they are.  ``pf_eigenvalue`` is inf where the
-matrix at t is past the floats.
+``MassPoly`` entries as they are.  ``pf_eigenvalue`` is inf only where
+the eigenvalue at t is past the floats, even when an entry is.
 """
 
 from __future__ import annotations
@@ -564,24 +564,38 @@ def log_pf(path: PathWitness, t: float) -> float:
     return math.log(mantissa) + (scale + e) * _LN2 + level * t
 
 
+def _log_mass(p: MassPoly, t: float) -> float:
+    """``log eval_mass(p, t)``, summed in the log domain: finite past the floats.
+
+    Each row is shifted right to 100 bits of its largest coefficient, far
+    more than a float holds, before ``_pf_rows``; zero gives -inf.
+    """
+    logs = []
+    for e, row in p.terms:
+        k = max(0, max(row).bit_length() - 100)
+        (pf,) = _pf_rows(p.n, ([c >> k for c in row],))
+        logs.append(math.log(pf) + k * _LN2 + e * t)
+    top = max(logs, default=-math.inf)
+    return top + math.log(sum(math.exp(x - top) for x in logs)) if logs else top
+
+
 def pf_eigenvalue(matrix: MassMatrix, t: float) -> float:
     """Largest eigenvalue of the (entrywise nonnegative) matrix at parameter t.
 
-    An entry past the floats (``eval_mass`` gives inf) makes the value
-    inf on the diagonal, or off it when the other off-diagonal entry is
-    nonzero; otherwise the matrix is triangular and the value is its
-    larger diagonal entry.  Finite entries are scaled by an exact power
-    of two first, so neither tr^2 nor the determinant overflows.
+    It is (a + d)/2 + hypot((a - d)/2, r), r = sqrt(b) sqrt(c), which
+    overflows no intermediate and flushes neither factor of b c.  An inf
+    diagonal entry (``eval_mass`` past the floats) makes it inf; with an
+    inf off-diagonal entry, b c may still be finite, and r is taken from
+    the entries' logs (``_log_mass``).
     """
     a, b, c, d = (eval_mass(entry, t) for row in matrix for entry in row)
     if math.inf in (a, d):
         return math.inf
     if math.inf in (b, c):
-        return math.inf if b and c else max(a, d)
-    a, b, c, d, e = _rescaled(a, b, c, d)
-    tr, det = a + d, a * d - b * c
-    disc = max(tr * tr - 4.0 * det, 0.0)
-    try:
-        return math.ldexp(0.5 * (tr + math.sqrt(disc)), e)
-    except OverflowError:
-        return math.inf
+        try:
+            r = math.exp(0.5 * (_log_mass(matrix[0][1], t) + _log_mass(matrix[1][0], t)))
+        except OverflowError:
+            return math.inf
+    else:
+        r = math.sqrt(b) * math.sqrt(c)
+    return 0.5 * a + 0.5 * d + math.hypot(0.5 * (a - d), r)
