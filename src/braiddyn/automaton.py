@@ -36,9 +36,18 @@ one run per step, and a block b^m is the arrow of b at the current
 vertex followed by the loop of b at its target taken m - 1 times, so
 recognition costs at most two arrow lookups per block.
 ``PathWitness.arrows`` expands the runs for readers that want every step.
+Every gamma arrow is a scalar matrix c I, and c = 1 except across the
+index wraparound, where c is s^-+2 (odd n) or s^-+1 [Pi_{n-2}] (even n,
+Pi_{n-2} the simple current); no twist arrow is the identity
+(``tests/test_automaton.py::test_gamma_arrows_are_scalar``).  So a path
+also keeps its factors (``PathWitness.factors``): the runs less those
+whose arrow is the identity, about one per m gamma steps instead of one
+per step.  The three path folds below multiply factors, not runs; the
+identity changes no entry, in floats or exactly, so they give the same
+result bit for bit.
 
 Classification never forms the exact product of a path.  Its zero
-pattern is the product of the arrows' 2x2 Boolean supports: the supports
+pattern is the product of the factors' 2x2 Boolean supports: the supports
 are read from the exact entries, and a product of nonzero entries with
 nonnegative coefficients is never zero, so the Boolean product is exact.
 The growth h_t = log PF(M(p))(t) comes from a float product at t.  An
@@ -47,11 +56,11 @@ once per (automaton, t): the evaluation is kept on the arrow
 (``Arrow.at_t``) for its last few values of t.  Each run is raised to its
 multiplicity by repeated squaring on four floats whose scale is an exact
 power of two, and the arrows' levels are summed as integers, so neither
-drifts with the multiplicities.  The pattern costs O(runs * log
+drifts with the multiplicities.  The pattern costs O(factors * log
 multiplicity), and so does h_t once its arrows are evaluated at t.
 ``path_terms``, ``path_matrix``, ``zero_pattern`` and ``pf_eigenvalue``
 are the exact route, used when the matrix itself is wanted:
-``path_terms`` hands the runs to ``fusion.product_tree``, which raises
+``path_terms`` hands the factors to ``fusion.product_tree``, which raises
 each to its multiplicity by repeated squaring on packed entries, and
 returns the entries as terms; ``path_matrix`` checks them into
 ``MassPoly`` entries as they are.  ``pf_eigenvalue`` is inf only where
@@ -61,7 +70,7 @@ the eigenvalue at t is past the floats, even when an entry is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
@@ -131,6 +140,13 @@ class Arrow:
         return _support(self.matrix)
 
     @cached_property
+    def is_identity(self) -> bool:
+        """Is the matrix exactly [[1, 0], [0, 1]], so that no path fold multiplies by it?"""
+        (a, b), (c, d) = self.matrix
+        one = ((0, (1,) + (0,) * (a.n - 2)),)  # the terms of MassPoly.one(n)
+        return a.terms == one == d.terms and not b.terms and not c.terms
+
+    @cached_property
     def leaf(self) -> Leaf:
         """The matrix as a ``fusion.Leaf``, the factor ``fusion.product_tree`` takes."""
         return leaf(self.matrix[0][0].n, [entry.terms for row in self.matrix for entry in row])
@@ -165,12 +181,27 @@ class PathWitness:
     """A path as runs (arrow, multiplicity >= 1); runs[0] is traversed first.
 
     ``recognize`` emits one run per gamma step and at most two per block,
-    and adjacent runs carry different arrows.
+    and adjacent runs carry different arrows.  ``factors`` are the runs
+    whose arrow is not the identity (``Arrow.is_identity``), in order:
+    the path matrix is their product, and ``log_pf``,
+    ``path_zero_pattern`` and ``path_terms`` fold them.  Every gamma arrow
+    is a scalar matrix, the identity except across the index wraparound
+    (``tests/test_automaton.py::test_gamma_arrows_are_scalar``), so a
+    gamma^s segment adds about |s| / m factors to its |s| runs.  They are
+    filtered from ``runs`` once, when the path is built.
     """
 
     start: VertexId
     runs: tuple[tuple[Arrow, int], ...]
     closed: bool
+    factors: tuple[tuple[Arrow, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a list, not a generator: tuple() of a generator raised peak RSS by
+        # about 55 B per pa_random op on CPython 3.11 (3.2 MB over 60000 ops),
+        # a list did not
+        factors = tuple([run for run in self.runs if not run[0].is_identity])
+        object.__setattr__(self, "factors", factors)
 
     @property
     def arrows(self) -> tuple[Arrow, ...]:
@@ -400,13 +431,14 @@ def recognizes_word(auto: MassAutomaton, letters: list[TwistLetter | int]) -> bo
 def path_terms(auto: MassAutomaton, path: PathWitness) -> tuple[Terms, Terms, Terms, Terms]:
     """Entries a, b, c, d of M(p) = M(e_k) ... M(e_1) as ``fusion.Terms``; empty path: identity.
 
-    ``fusion.product_tree`` takes the path's runs, last run first, with
-    each arrow's cached ``Arrow.leaf``: a run of mult steps is one power,
+    ``fusion.product_tree`` takes the path's factors (``PathWitness.factors``,
+    the runs less the identity arrows), last first, with each arrow's
+    cached ``Arrow.leaf``: a run of mult steps is one power,
     raised by repeated squaring on the packed entries, so nothing walks
     the expanded arrows.  ``MassPoly`` takes the terms as they are
     (``path_matrix``), and nothing is built per term.
     """
-    return product_tree(auto.n, [(arrow.leaf, mult) for arrow, mult in reversed(path.runs)])
+    return product_tree(auto.n, [(arrow.leaf, mult) for arrow, mult in reversed(path.factors)])
 
 
 def path_matrix(auto: MassAutomaton, path: PathWitness) -> MassMatrix:
@@ -455,13 +487,14 @@ def zero_pattern(matrix: MassMatrix) -> str:
 
 
 def path_zero_pattern(path: PathWitness) -> str:
-    """Same as ``zero_pattern(path_matrix(auto, path))``, in O(runs * log mult).
+    """Same as ``zero_pattern(path_matrix(auto, path))``, in O(factors * log mult).
 
-    The pattern is the Boolean product of the arrow supports; a run's
-    support is raised to its multiplicity by repeated squaring.
+    The pattern is the Boolean product of the supports of the path's
+    factors (``PathWitness.factors``); a run's support is raised to its
+    multiplicity by repeated squaring.
     """
     acc = (True, False, False, True)
-    for arrow, mult in path.runs:
+    for arrow, mult in path.factors:
         (p, q), (r, s) = arrow.support
         acc = _bool_mul(_power(_bool_mul, (p, q, r, s), mult), acc)
     a, b, c, d = acc
@@ -518,10 +551,14 @@ def _rescaled(a: float, b: float, c: float, d: float) -> tuple[float, float, flo
 def log_pf(path: PathWitness, t: float) -> float:
     """``log pf_eigenvalue(path_matrix(auto, path), t)`` from an exactly rescaled float product.
 
-    Each arrow is evaluated at t once and kept on the arrow for its last
+    The product is folded over the path's factors (``PathWitness.factors``):
+    a multiplication by the identity is exact in floats, and skipping it
+    leaves every entry, and so every rescale, as it was.  An empty product
+    still goes through the identity's PF, so that t = nan gives nan.  Each
+    arrow is evaluated at t once and kept on the arrow for its last
     ``_KEPT_T`` values of t (``Arrow.at_t``), so a call costs only its
-    runs: the product is folded on four floats, and a run is raised to
-    its multiplicity by repeated squaring, in O(runs * log mult) 2x2
+    factors: the product is folded on four floats, and a run is raised to
+    its multiplicity by repeated squaring, in O(factors * log mult) 2x2
     products.  The scale is an integer power of two, changed only when
     the largest entry leaves [2^-64, 2^64], and the arrows' levels are
     summed as the integer sum of mult * level, multiplied by t once at the
@@ -533,7 +570,7 @@ def log_pf(path: PathWitness, t: float) -> float:
     lo, hi = _WINDOW
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     scale = level = 0  # the product is 2^scale exp(level t) [[a, b], [c, d]]
-    for arrow, mult in path.runs:
+    for arrow, mult in path.factors:
         x = arrow.at_t.get(t)
         if x is None:
             x = _evaluated(arrow, t)

@@ -14,7 +14,11 @@ left-to-right fold of a path must agree with.
 ``automaton.log_pf`` and ``automaton.path_zero_pattern`` walk arrow runs
 and raise each run to its multiplicity by repeated squaring;
 ``fold_log_pf`` and ``fold_zero_pattern`` are the per-arrow folds over
-the expanded arrows that they replaced.  ``path_from_arrows`` merges an
+the expanded arrows that they replaced.  ``log_pf`` and
+``path_zero_pattern`` fold only the path's factors, its runs less the
+identity gamma arrows; ``runs_log_pf`` is the run-length fold over every
+run, identity arrows included, whose float ``log_pf`` must reproduce bit
+for bit.  ``path_from_arrows`` merges an
 arrow sequence into runs, and ``letters_applied`` spells a normal form
 out letter by letter.
 """
@@ -24,11 +28,15 @@ from __future__ import annotations
 import math
 
 from braiddyn.automaton import (
+    _LN2,
+    _WINDOW,
     Arrow,
     MassAutomaton,
     MassMatrix,
     PathWitness,
     Vertex,
+    _eval_arrow,
+    _rescaled,
     _support_pattern,
     _vertex_basis,
 )
@@ -210,3 +218,42 @@ def fold_log_pf(path: PathWitness, t: float) -> float:
         log_scale += top + math.log(big)
     pf = 0.5 * (a + d + math.sqrt((a - d) * (a - d) + 4.0 * b * c))
     return math.log(pf) + log_scale
+
+
+def runs_log_pf(path: PathWitness, t: float) -> float:
+    """``automaton.log_pf`` as it was before factors: the same rescaled fold, over every run.
+
+    Identity arrows are evaluated and multiplied like any other, so
+    ``log_pf`` over the factors must return the identical float.
+    """
+    if not path.runs:
+        return 0.0
+    lo, hi = _WINDOW
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    scale = level = 0
+    for arrow, mult in path.runs:
+        p, q, r, s, x_level = _eval_arrow(arrow, t)
+        level += mult * x_level
+        x_scale = 0
+        while True:
+            if mult & 1:
+                a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+                scale += x_scale
+                if a > hi or b > hi or c > hi or d > hi or (
+                    a < lo and b < lo and c < lo and d < lo
+                ):
+                    a, b, c, d, e = _rescaled(a, b, c, d)
+                    scale += e
+            mult >>= 1
+            if not mult:
+                break
+            p, q, r, s = p * p + q * r, q * (p + s), r * (p + s), s * s + q * r
+            x_scale += x_scale
+            if p > hi or q > hi or r > hi or s > hi or (
+                p < lo and q < lo and r < lo and s < lo
+            ):
+                p, q, r, s, e = _rescaled(p, q, r, s)
+                x_scale += e
+    pf = 0.5 * (a + d + math.sqrt((a - d) * (a - d) + 4.0 * b * c))
+    mantissa, e = math.frexp(pf)
+    return math.log(mantissa) + (scale + e) * _LN2 + level * t

@@ -17,6 +17,7 @@ from braiddyn.automaton import (
     joins,
     log_pf,
     path_matrix,
+    path_terms,
     path_zero_pattern,
     pf_eigenvalue,
     recognize,
@@ -33,7 +34,8 @@ from braiddyn.braidword import (
     to_normal_form,
     twist_modulus,
 )
-from braiddyn.fusion import MassPoly, eval_mass, mass_mul
+from braiddyn.classify import _automaton
+from braiddyn.fusion import MassPoly, eval_mass, mass_mul, product_tree
 from braiddyn.twistcalc import V1, V2, SemistableUnit, letter_support
 
 from automaton_oracle import (
@@ -44,6 +46,7 @@ from automaton_oracle import (
     letters_applied,
     mat_mul,
     path_from_arrows,
+    runs_log_pf,
     support_column,
 )
 
@@ -220,7 +223,7 @@ _AUTOMATA = {n: build(n) for n in range(3, 17)}
 
 
 def twist_letters(n):
-    return _AUTOMATA[n].letters()
+    return (_AUTOMATA.get(n) or _automaton(n)).letters()
 
 
 @st.composite
@@ -231,8 +234,8 @@ def letter_sequences(draw):
 
 
 @st.composite
-def normal_forms(draw, mults=st.integers(1, 3)):
-    n = draw(st.integers(3, 16))
+def normal_forms(draw, mults=st.integers(1, 3), ns=st.integers(3, 16), gammas=None):
+    n = draw(ns)
     m = twist_modulus(n)
     blocks, prev = [], None
     for _ in range(draw(st.integers(0, 6))):
@@ -241,7 +244,8 @@ def normal_forms(draw, mults=st.integers(1, 3)):
         ]
         prev = draw(st.sampled_from(allowed))
         blocks.append((prev, draw(mults)))
-    return NormalForm(n, tuple(blocks), draw(st.integers(-2 * m, 2 * m)))
+    gamma_exp = draw(st.integers(-2 * m, 2 * m) if gammas is None else gammas)
+    return NormalForm(n, tuple(blocks), gamma_exp)
 
 
 @settings(max_examples=400, deadline=None)
@@ -709,14 +713,15 @@ def test_kept_arrow_evaluations_match_folds(nf, require_closed, ts):
 
 
 def test_kept_arrow_evaluations_stay_bounded():
-    # counting, not timing: after 10^4 distinct t, the arrows of the path
-    # hold the last _KEPT_T values of t and no other arrow holds any
+    # counting, not timing: after 10^4 distinct t, the arrows of the path's
+    # factors hold the last _KEPT_T values of t and no other arrow holds
+    # any, not even an identity gamma arrow of the path
     auto = build(5)  # not shared with other tests
     path = recognize(auto, to_normal_form(BraidWord(5, ((1, 2), (2, -1), (1, 1), (2, -3)))))
     ts = [k / 64 - 70.0 for k in range(10**4)]
     for t in ts:
         log_pf(path, t)
-    on_path = {id(arrow) for arrow, _ in path.runs}
+    on_path = {id(arrow) for arrow, _ in path.factors}
     for arrow in auto.arrows:
         want = ts[-_KEPT_T:] if id(arrow) in on_path else []
         assert list(arrow.at_t) == want, arrow.label_text()
@@ -817,3 +822,77 @@ def test_recognize_hashes_no_twist_letter(monkeypatch):
     monkeypatch.setattr(TwistLetter, "__hash__", counting)
     assert recognize(auto, nf, require_closed=True) == want
     assert calls == []
+
+
+# --- identity arrows are not factors ----------------------------------------------
+
+
+@pytest.mark.parametrize("n", [*range(3, 33), 63, 64])
+def test_gamma_arrows_are_scalar(n):
+    # every gamma arrow is c I, with c = 1 except across the index
+    # wraparound: s^-+2 [Pi_0] for odd n (two arrows), s^-+1 [Pi_{n-2}] for
+    # even n (four arrows; Pi_{n-2} is the simple current).  No twist arrow
+    # is the identity, and no arrow has a zero diagonal entry, which
+    # _support_pattern's "vanishing diagonal" error relies on
+    auto = _automaton(n)
+    m = twist_modulus(n)
+    label, level = (0, 2) if n % 2 else (n - 2, 1)
+    kinds = ("v",) if n % 2 else ("v", "u")
+    wraps = {(1, (kind, m - 1)): mono(n, label, -level) for kind in kinds}
+    wraps |= {(-1, (kind, 0)): mono(n, label, level) for kind in kinds}
+    for key, arrow in auto.gamma_arrows.items():
+        (a, b), (c, d) = arrow.matrix
+        assert a == d and b.is_zero() and c.is_zero(), key
+        assert a == wraps.get(key, MassPoly.one(n)), key
+        assert arrow.is_identity == (key not in wraps), key
+    assert not any(arrow.is_identity for arrow in auto.twist_arrows.values())
+    assert all(not a.is_zero() and not d.is_zero() for (a, _), (_, d) in
+               (arrow.matrix for arrow in auto.arrows))
+
+
+FACTOR_NS = [*range(3, 17), 17, 31, 64]
+FACTOR_TS = (0.0, 0.5, -0.5, 3.0, -3.0, 1000.0, -1000.0, math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def words_with_long_negative_runs(draw):
+    # s_i^-k rewrites to about k gamma^-1 steps and k blocks: a few hundred
+    # gamma steps, crossing the wraparound about |gamma_exp| / m times
+    n = draw(st.sampled_from(FACTOR_NS))
+    exps = st.one_of(st.integers(-3, 3).filter(bool), st.integers(-300, -64))
+    runs = draw(st.lists(st.tuples(st.sampled_from((1, 2)), exps), min_size=1, max_size=4))
+    return to_normal_form(BraidWord(n, tuple(runs)))
+
+
+def assert_factors_fold_as_every_run(path):
+    for t in FACTOR_TS:
+        assert repr(_outcome(log_pf, path, t)) == repr(_outcome(runs_log_pf, path, t)), t
+    assert _outcome(path_zero_pattern, path) == _outcome(fold_zero_pattern, path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words_with_long_negative_runs(), st.booleans())
+def test_factors_fold_as_every_run(nf, require_closed):
+    # log_pf, path_zero_pattern and path_terms fold the factors; each
+    # agrees exactly with a fold over every run, identities included
+    auto = _automaton(nf.n)
+    path = recognize(auto, nf, require_closed=require_closed)
+    assert_factors_fold_as_every_run(path)
+    every_run = [(arrow.leaf, mult) for arrow, mult in reversed(path.runs)]
+    assert path_terms(auto, path) == product_tree(nf.n, every_run)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    normal_forms(ns=st.sampled_from(FACTOR_NS), gammas=st.integers(-300, 300)), st.booleans()
+)
+def test_factors_product_as_every_arrow(nf, require_closed):
+    # gamma^s of a few hundred steps and a few short blocks: cheap to
+    # multiply out one arrow at a time
+    auto = _automaton(nf.n)
+    path = recognize(auto, nf, require_closed=require_closed)
+    assert_factors_fold_as_every_run(path)
+    a, b, c, d = path_terms(auto, path)
+    assert ((a, b), (c, d)) == tuple(
+        tuple(entry.terms for entry in row) for row in fold_path_matrix(nf.n, path.arrows)
+    )

@@ -840,8 +840,9 @@ def _log_domain_log_pf(matrix, t):
 def test_long_run_is_a_few_arrow_runs(monkeypatch):
     # counting, not timing: the block twist1[0]^200001 is its entry arrow
     # and one loop run, so the path has at most 4 twist runs after the
-    # |gamma_exp| gamma steps; log_pf evaluates each distinct arrow once
-    # per t, a second call at the same t evaluates none, and a run is
+    # |gamma_exp| gamma steps; log_pf evaluates each distinct arrow of the
+    # path's factors (its runs less the identity gamma arrows) once per t,
+    # a second call at the same t evaluates none, and a run is
     # raised by squaring, so even 2^62 steps of a loop finish
     res = classify(5, parse_word("s1^200000 s2^-3", 5))
     assert res.braid_type == "pseudo_anosov"
@@ -855,7 +856,7 @@ def test_long_run_is_a_few_arrow_runs(monkeypatch):
     t = 0.4375  # no other test evaluates at this t, so no arrow keeps it yet
     h = res.growth.evaluate(t)
     assert math.isfinite(h)
-    assert len(evals) == len({id(arrow) for arrow, _ in res.path.runs})
+    assert len(evals) == len({id(arrow) for arrow, _ in res.path.factors})
     evals.clear()
     assert res.growth.evaluate(t) == h and evals == []
     # the loop twist1[0] at v0 is [[s^-1, [Pi_1]], [0, 1]]: h_t of its
