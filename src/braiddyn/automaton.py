@@ -42,22 +42,22 @@ Pi_{n-2} the simple current); no twist arrow is the identity
 (``tests/test_automaton.py::test_gamma_arrows_are_scalar``).  So a path
 also keeps its factors (``PathWitness.factors``): the runs less those
 whose arrow is the identity, about one per m gamma steps instead of one
-per step.  The three path folds below multiply factors, not runs; the
+per step.  The three path folds below walk factors, not runs; the
 identity changes no entry, in floats or exactly, so they give the same
 result bit for bit.
 
 Classification never forms the exact product of a path.  Its zero
-pattern is the product of the factors' 2x2 Boolean supports: the supports
-are read from the exact entries, and a product of nonzero entries with
-nonnegative coefficients is never zero, so the Boolean product is exact.
-The growth h_t = log PF(M(p))(t) comes from a float product at t.  An
+pattern is two ORs over the factors' off-diagonal bits, exact because
+every arrow's diagonal is nonzero (``path_zero_pattern``,
+``tests/test_automaton.py::test_twist_arrow_shapes``).  The growth
+h_t = log PF(M(p))(t) comes from a float product at t.  An
 arrow is evaluated from its compiled float table (``Arrow.float_table``)
 once per (automaton, t): the evaluation is kept on the arrow
 (``Arrow.at_t``) for its last few values of t.  Each run is raised to its
 multiplicity by repeated squaring on four floats whose scale is an exact
 power of two, and the arrows' levels are summed as integers, so neither
-drifts with the multiplicities.  The pattern costs O(factors * log
-multiplicity), and so does h_t once its arrows are evaluated at t.
+drifts with the multiplicities.  The pattern costs O(factors), and h_t
+O(factors * log multiplicity) once its arrows are evaluated at t.
 ``path_terms``, ``path_matrix``, ``zero_pattern`` and ``pf_eigenvalue``
 are the exact route, used when the matrix itself is wanted:
 ``path_terms`` hands the factors to ``fusion.product_tree``, which raises
@@ -85,7 +85,7 @@ from .braidword import (
     target_vertex,
     twist_modulus,
 )
-from .fusion import Leaf, MassPoly, Terms, _pf_rows, _power, eval_mass, leaf, product_tree
+from .fusion import Leaf, MassPoly, Terms, _pf_rows, eval_mass, leaf, product_tree
 from .fusion import mass_mul  # noqa: F401  the bench tracer wraps automaton.mass_mul
 from .twistcalc import U, V1, V2, SemistableUnit, gamma_on_unit, letter_support
 
@@ -367,8 +367,8 @@ def recognize(
     one run per step, and a block b^mult is the arrow of b at the current
     vertex followed by the loop of b at its target, taken mult - 1 times
     (one run when the two coincide): at most two arrow lookups per block,
-    each two index reads in ``MassAutomaton._twist_table`` by letter and
-    vertex code.
+    each two index reads in ``MassAutomaton._twist_table`` by letter code
+    (``NormalForm.codes``) and vertex code.
     """
     n, m = auto.n, twist_modulus(auto.n)
     starts = iter(auto.vertices)  # v_0, v_1, ..., u_0, ...
@@ -393,8 +393,7 @@ def recognize(
         cur = arrow.target
     table = auto._twist_table
     c = cur[1] if cur[0] == "v" else m + cur[1]  # the code of the current vertex
-    for letter, mult in nf.blocks:
-        x = _code(m, letter)
+    for x, (letter, mult) in zip(nf.codes, nf.blocks):
         entry = table[x][c]
         if entry is None:
             raise ValueError(f"{letter.label()} cannot leave the vertex of code {c}")
@@ -487,30 +486,18 @@ def zero_pattern(matrix: MassMatrix) -> str:
 
 
 def path_zero_pattern(path: PathWitness) -> str:
-    """Same as ``zero_pattern(path_matrix(auto, path))``, in O(factors * log mult).
+    """Same as ``zero_pattern(path_matrix(auto, path))``, in one pass over the factors.
 
-    The pattern is the Boolean product of the supports of the path's
-    factors (``PathWitness.factors``); a run's support is raised to its
-    multiplicity by repeated squaring.
+    Every arrow's diagonal is nonzero (``test_twist_arrow_shapes``), so
+    (XY)_12 = x_11 y_12 + x_12 y_22 is nonzero exactly when x_12 or y_12
+    is: the pattern is two ORs over the factors' off-diagonal bits.
     """
-    acc = (True, False, False, True)
-    for arrow, mult in path.factors:
-        (p, q), (r, s) = arrow.support
-        acc = _bool_mul(_power(_bool_mul, (p, q, r, s), mult), acc)
-    a, b, c, d = acc
-    return _support_pattern(((a, b), (c, d)))
-
-
-def _bool_mul(x, y):
-    """2x2 Boolean product x y of flat (a, b, c, d) supports."""
-    p, q, r, s = x
-    a, b, c, d = y
-    return (
-        (p and a) or (q and c),
-        (p and b) or (q and d),
-        (r and a) or (s and c),
-        (r and b) or (s and d),
-    )
+    b = c = False
+    for arrow, _ in path.factors:
+        (_, q), (r, _) = arrow.support
+        b = b or q
+        c = c or r
+    return _support_pattern(((True, b), (c, True)))
 
 
 def _eval_arrow(arrow: Arrow, t: float) -> ArrowAtT:

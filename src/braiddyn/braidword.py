@@ -39,7 +39,7 @@ objects are built once, when the normal form is returned.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
@@ -477,16 +477,20 @@ class NormalForm:
 
     ``blocks`` is stored in application order: blocks[0] is b_1 (applied
     first, after gamma^s), with multiplicities >= 1 and adjacent blocks
-    carrying distinct letters.
+    carrying distinct letters.  ``codes`` holds their ``_letter_table``
+    codes, derived once by the checker for ``classify`` and ``recognize``;
+    it is not a constructor argument, and is neither compared nor shown.
     """
 
     n: int
     blocks: tuple[tuple[TwistLetter, int], ...]
     gamma_exp: int
+    codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, _, ban = _letter_table(self.n)
         families = (1,) if self.n % 2 else (1, 2)
+        codes: list[int] = []
         prev, x = None, -1  # the previous block's letter and its code
         for letter, mult in self.blocks:
             if mult < 1:
@@ -504,7 +508,10 @@ class NormalForm:
                 raise ValueError("adjacent blocks must carry distinct letters")
             if ban[y] == x:
                 raise ValueError(f"{letter.label()} cannot follow {prev.label()}")
+            codes.append(y)
             prev, x = letter, y
+        # tuple() of a list, not of a generator, as in to_normal_form
+        object.__setattr__(self, "codes", tuple(codes))
 
     def twist_count(self) -> int:
         return sum(m for _, m in self.blocks)

@@ -21,20 +21,20 @@ b_k^{m_k} ... b_1^{m_1} gamma^s and run:
    growth log PF of the matrix.
 
 The loop peels the two ends of one block list held between two indices,
-on the letters' ``braidword._letter_table`` codes: each round is one read
+on the letters' codes (``NormalForm.codes``): each round is one read
 of the ban list, the test of ``joins`` without a letter object, and the
 peeled letters are recorded as code runs.  The final ``NormalForm`` is
 built once, through the checking constructor; the conjugate and the
 conjugator are spelled out as words once, when the verdict is returned.
-The zero pattern comes from the Boolean product of the arrow runs'
-supports (``automaton.path_zero_pattern``) and the pseudo-Anosov growth
-from an exactly rescaled float product of the runs (``automaton.log_pf``),
-both with powers by repeated squaring, so classification forms no exact
-matrix product.  The exact matrix M(p) is taken on first read of
-``matrix`` of ``ClassificationResult`` or ``LogPFGrowth`` (the two share
-one product) and kept with the result: its entries are ``MassPoly``
-built from the kernel's terms (``automaton.path_terms``) as they are,
-and the CLI writes them from there.
+The zero pattern is two ORs over the factors' off-diagonal bits
+(``automaton.path_zero_pattern``), exact because every arrow's diagonal
+is nonzero (``test_twist_arrow_shapes``); the pseudo-Anosov growth is an
+exactly rescaled float product of the runs (``automaton.log_pf``), so
+classification forms no exact matrix product.  The exact matrix M(p) is
+taken on first read of ``matrix`` of ``ClassificationResult`` or
+``LogPFGrowth`` (the two share one product) and kept with the result:
+its entries are ``MassPoly`` built from the kernel's terms
+(``automaton.path_terms``) as they are; the CLI writes them from there.
 
 Mass growths: periodic beta^k = gamma^(l n) has h_t = -(2l/k) t;
 reducible sigma_i^k chi^l has the piecewise-linear growth of
@@ -63,7 +63,6 @@ from .braidword import (
     BraidWord,
     NormalForm,
     TwistLetter,
-    _code,
     _letter_table,
     _twist_runs,
     joins,
@@ -235,7 +234,8 @@ def reducible_witness(
     Lower-triangular matrices come from an index-ascending chain of
     multiplicity-one letters; unwinding sigma_X gamma^-1 = (previous
     generator)^-1 turns the chain into a negative generator power times
-    a central element.
+    a central element.  ``tests/test_automaton.py::test_twist_arrow_shapes``
+    pins the twist arrows of both shapes; every other twist arrow is full.
     """
     m = twist_modulus(n)
     s = nf.gamma_exp
@@ -295,7 +295,7 @@ def classify(n: int, w: BraidWord) -> ClassificationResult:
     first = to_normal_form(w)
     m, letters, ban = _letter_table(n)
     # the blocks as letter codes and multiplicities; the live ones are [lo, hi]
-    codes = [_code(m, letter) for letter, _ in first.blocks]
+    codes = first.codes
     mults = [mult for _, mult in first.blocks]
     lo, hi = 0, len(codes) - 1
     total, s = first.twist_count(), first.gamma_exp

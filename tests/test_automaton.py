@@ -850,6 +850,31 @@ def test_gamma_arrows_are_scalar(n):
                (arrow.matrix for arrow in auto.arrows))
 
 
+def _vertex_code(m, vertex):
+    kind, j = vertex
+    return j if kind == "v" else m + j
+
+
+@pytest.mark.parametrize("n", [*range(3, 33), 63, 64, 65, 127, 128])
+def test_twist_arrow_shapes(n):
+    # x is a letter's code, which is also its target vertex's code: the loop
+    # from x is upper triangular, the arrow from the same family's previous
+    # index x - x % m + (x - 1) % m lower triangular, and every other twist
+    # arrow full (zero_pattern also rejects a zero diagonal entry).  These
+    # are reducible_witness's two shapes, and every twist arrow has a
+    # nonzero off-diagonal entry, which path_zero_pattern's ORs rely on.
+    # Past n = 64 the automaton is built here and dropped, not kept by
+    # classify._automaton: n = 127 and 128 hold about 135 MB each
+    auto = _automaton(n) if n <= 64 else build(n)
+    m = twist_modulus(n)
+    for (letter, source), arrow in auto.twist_arrows.items():
+        x = _vertex_code(m, arrow.target)
+        assert x == (letter.index if letter.family == 1 else m + letter.index)
+        src = _vertex_code(m, source)
+        want = "upper" if src == x else "lower" if src == x - x % m + (x - 1) % m else "full"
+        assert zero_pattern(arrow.matrix) == want, (letter, source)
+
+
 FACTOR_NS = [*range(3, 17), 17, 31, 64]
 FACTOR_TS = (0.0, 0.5, -0.5, 3.0, -3.0, 1000.0, -1000.0, math.nan, math.inf, -math.inf)
 

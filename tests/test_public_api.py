@@ -50,7 +50,7 @@ def test_one_product_path():
             "sparse_entry",
             "terms_at_0",
         ),
-        "braiddyn.automaton": ("mat_mul", "mass_dot"),
+        "braiddyn.automaton": ("mat_mul", "mass_dot", "_bool_mul"),
         "braiddyn.braidword": ("_mat_mul", "_svec_add", "_laurent_dot", "_sparse_generators"),
     }
     for name, attrs in removed.items():
