@@ -36,6 +36,11 @@ one run per step, and a block b^m is the arrow of b at the current
 vertex followed by the loop of b at its target taken m - 1 times, so
 recognition costs at most two arrow lookups per block.
 ``PathWitness.arrows`` expands the runs for readers that want every step.
+Arrows are made on first lookup: ``build`` makes none, and a lookup that
+misses makes the arrow of its slot by the rule above and keeps it, so a
+process pays for the arrows its paths use, not for all Theta(n^2) of
+them.  ``automaton --json`` and readers of ``MassAutomaton.arrows`` (or
+``twist_arrows``, ``gamma_arrows``) still make them all.
 Every gamma arrow is a scalar matrix c I, and c = 1 except across the
 index wraparound, where c is s^-+2 (odd n) or s^-+1 [Pi_{n-2}] (even n,
 Pi_{n-2} the simple current); no twist arrow is the identity
@@ -70,6 +75,8 @@ the eigenvalue at t is past the floats, even when an entry is.
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -77,11 +84,10 @@ from operator import itemgetter
 from .braidword import (
     NormalForm,
     TwistLetter,
-    _code,
+    _letter_table,
     check_n,
     forbidden_source,
     joins,
-    make_twist,
     target_vertex,
     twist_modulus,
 )
@@ -214,25 +220,82 @@ class PathWitness:
 
 @dataclass(frozen=True)
 class MassAutomaton:
+    """The automaton of one n; each arrow is made by ``make_arrow(source, target, label)``.
+
+    Arrows are kept in two tables, filled on first lookup: twist arrows as
+    ``_twist_table[letter code][source code]`` and gamma arrows as
+    ``_gamma_table[step][source code]``, None where no arrow was made
+    yet.  Codes are those of ``braidword._letter_table``, and a vertex has
+    the code of the letters into it (v_j is j, u_j is m + j), so a lookup
+    is two index reads and hashes no ``TwistLetter``.  A reader tests the
+    slot for None and calls ``_twist_arrow`` or ``_gamma_arrow`` only on a
+    miss.  ``arrows``, ``twist_arrows`` and ``gamma_arrows`` fill every
+    slot when first read.
+    """
+
     n: int
     vertices: dict[VertexId, Vertex]
-    arrows: tuple[Arrow, ...]
-    twist_arrows: dict[tuple[TwistLetter, VertexId], Arrow]
-    gamma_arrows: dict[tuple[int, VertexId], Arrow]
+    make_arrow: Callable[[VertexId, VertexId, TwistLetter | int], Arrow] = field(
+        repr=False, compare=False
+    )
+    _twist_table: list[list[Arrow | None]] = field(init=False, repr=False, compare=False)
+    _gamma_table: dict[int, list[Arrow | None]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        size = len(self.vertices)  # as many letter codes as vertex codes
+        object.__setattr__(self, "_twist_table", [[None] * size for _ in range(size)])
+        object.__setattr__(self, "_gamma_table", {1: [None] * size, -1: [None] * size})
+
+    def _twist_arrow(self, x: int, c: int) -> Arrow:
+        """The arrow of the letter of code x from the vertex of code c, made on its first lookup.
+
+        Raises ValueError when that vertex is the letter's forbidden source.
+        """
+        m, letters, ban = _letter_table(self.n)
+        letter = letters[x]
+        if ban[x] == c:
+            raise ValueError(f"{letter.label()} cannot leave the vertex of code {c}")
+        return _filled(
+            self._twist_table[x],
+            c,
+            lambda: self.make_arrow(_vertex(m, c), _vertex(m, x), letter),
+        )
+
+    def _gamma_arrow(self, step: int, c: int) -> Arrow:
+        """The arrow of gamma^step (step = +-1) from the vertex of code c, made on its first lookup."""
+        m = twist_modulus(self.n)
+        return _filled(
+            self._gamma_table[step],
+            c,
+            lambda: self.make_arrow(_vertex(m, c), _vertex(m, c - c % m + (c + step) % m), step),
+        )
 
     @cached_property
-    def _twist_table(self) -> tuple[tuple[Arrow | None, ...], ...]:
-        """``twist_arrows`` as ``[letter code][source code]``, with None at forbidden sources.
+    def twist_arrows(self) -> dict[tuple[TwistLetter, VertexId], Arrow]:
+        """Every twist arrow by (letter, source): letters in code order, sources in vertex order."""
+        m, letters, ban = _letter_table(self.n)
+        return {
+            (letter, _vertex(m, c)): self._twist_arrow(x, c)
+            for x, letter in enumerate(letters)
+            for c in range(len(self.vertices))
+            if c != ban[x]
+        }
 
-        Codes are those of ``braidword._letter_table``, and a vertex has the
-        code of the letters into it (v_j is j, u_j is m + j), so a lookup
-        is two index reads and hashes no ``TwistLetter``.
-        """
+    @cached_property
+    def gamma_arrows(self) -> dict[tuple[int, VertexId], Arrow]:
+        """Every gamma arrow by (step, source): gamma from each vertex, then gamma^-1 back."""
         m = twist_modulus(self.n)
-        table: list[list[Arrow | None]] = [[None] * len(self.vertices) for _ in self.vertices]
-        for (letter, (kind, j)), arrow in self.twist_arrows.items():
-            table[_code(m, letter)][j if kind == "v" else m + j] = arrow
-        return tuple(tuple(row) for row in table)
+        out: dict[tuple[int, VertexId], Arrow] = {}
+        for c in range(len(self.vertices)):
+            back = c - c % m + (c + 1) % m
+            out[(1, _vertex(m, c))] = self._gamma_arrow(1, c)
+            out[(-1, _vertex(m, back))] = self._gamma_arrow(-1, back)
+        return out
+
+    @cached_property
+    def arrows(self) -> tuple[Arrow, ...]:
+        """Every arrow: the twist arrows, then the gamma arrows, in the orders above."""
+        return (*self.twist_arrows.values(), *self.gamma_arrows.values())
 
     def vertex_order(self) -> list[VertexId]:
         """v_0, v_1, ..., then u_0, u_1, ...: the order ``build`` inserts vertices in."""
@@ -274,6 +337,28 @@ def _vertex_basis(n: int, vid: VertexId) -> tuple[SemistableUnit, SemistableUnit
     return (SemistableUnit(V2, j), SemistableUnit(U, j))
 
 
+def _vertex(m: int, c: int) -> VertexId:
+    """The vertex of code c: v_j is j, u_j is m + j."""
+    return ("v", c) if c < m else ("u", c - m)
+
+
+_FILLING = threading.Lock()  # held while an arrow slot is filled, so no slot is written twice
+
+
+def _filled(row: list[Arrow | None], c: int, make: Callable[[], Arrow]) -> Arrow:
+    """row[c], first set to make() if it is None; what the slot holds is returned.
+
+    The slot is checked again under the lock, so two threads that miss it
+    at once get the one arrow that was stored: the paths of one word hold
+    the same arrows, whose caches (``Arrow.leaf``, ``Arrow.at_t``, ...)
+    are filled once.
+    """
+    with _FILLING:
+        if row[c] is None:
+            row[c] = make()
+        return row[c]
+
+
 def _arrow_matrix(
     n: int,
     columns: list[dict[SemistableUnit, int]],
@@ -297,9 +382,11 @@ def _arrow_matrix(
 
 
 def build(n: int) -> MassAutomaton:
-    """Construct the full automaton; matrices are precomputed on arrows.
+    """The automaton of n; it makes no arrow.
 
-    Raises ValueError for n outside 3..``braidword.MAX_N``.
+    Arrows are made on first lookup, by the rule of the module docstring;
+    ``automaton --json`` and readers of ``MassAutomaton.arrows`` still
+    make them all.  Raises ValueError for n outside 3..``braidword.MAX_N``.
     """
     check_n(n)
     m = twist_modulus(n)
@@ -315,24 +402,7 @@ def build(n: int) -> MassAutomaton:
             columns = [letter_support(n, label, unit) for unit in units]
         return Arrow(src, tgt, label, _arrow_matrix(n, columns, vertices[tgt].basis))
 
-    twist_arrows: dict[tuple[TwistLetter, VertexId], Arrow] = {}
-    for family in (1,) if n % 2 else (1, 2):
-        for j in range(m):
-            letter = make_twist(n, family, j)  # the one object per letter, as in normal forms
-            tgt, banned = target_vertex(n, letter), forbidden_source(n, letter)
-            for src in ids:
-                if src != banned:
-                    twist_arrows[(letter, src)] = arrow(src, tgt, letter)
-
-    gamma_arrows: dict[tuple[int, VertexId], Arrow] = {}
-    for kind in kinds:
-        for j in range(m):
-            src, tgt = (kind, j), (kind, (j + 1) % m)
-            gamma_arrows[(1, src)] = arrow(src, tgt, 1)
-            gamma_arrows[(-1, tgt)] = arrow(tgt, src, -1)
-
-    arrows = (*twist_arrows.values(), *gamma_arrows.values())
-    return MassAutomaton(n, vertices, arrows, twist_arrows, gamma_arrows)
+    return MassAutomaton(n, vertices, arrow)
 
 
 def simulate(
@@ -368,7 +438,8 @@ def recognize(
     vertex followed by the loop of b at its target, taken mult - 1 times
     (one run when the two coincide): at most two arrow lookups per block,
     each two index reads in ``MassAutomaton._twist_table`` by letter code
-    (``NormalForm.codes``) and vertex code.
+    (``NormalForm.codes``) and vertex code, and an arrow is made only
+    when its slot is still empty.
     """
     n, m = auto.n, twist_modulus(auto.n)
     starts = iter(auto.vertices)  # v_0, v_1, ..., u_0, ...
@@ -384,25 +455,29 @@ def recognize(
             start = end
         elif not legal(start):
             start = next(starts)  # only one vertex is banned
-    cur = start
+    c = start[1] if start[0] == "v" else m + start[1]  # the code of the current vertex
     runs: list[tuple[Arrow, int]] = []
     step = 1 if nf.gamma_exp >= 0 else -1
+    gammas = auto._gamma_table[step]
     for _ in range(abs(nf.gamma_exp)):
-        arrow = auto.gamma_arrows[(step, cur)]
+        arrow = gammas[c]
+        if arrow is None:
+            arrow = auto._gamma_arrow(step, c)
         runs.append((arrow, 1))
-        cur = arrow.target
+        c = c - c % m + (c + step) % m
     table = auto._twist_table
-    c = cur[1] if cur[0] == "v" else m + cur[1]  # the code of the current vertex
-    for x, (letter, mult) in zip(nf.codes, nf.blocks):
+    for x, (_, mult) in zip(nf.codes, nf.blocks):
         entry = table[x][c]
         if entry is None:
-            raise ValueError(f"{letter.label()} cannot leave the vertex of code {c}")
-        loop = table[x][x]  # a letter can always follow itself, and ends at vertex x
-        if loop is entry:
+            entry = auto._twist_arrow(x, c)  # raises ValueError at the letter's forbidden source
+        if c == x:  # the letter ends at vertex x, so entry is its loop
             runs.append((entry, mult))
         else:
             runs.append((entry, 1))
             if mult > 1:
+                loop = table[x][x]  # a letter can always follow itself
+                if loop is None:
+                    loop = auto._twist_arrow(x, x)
                 runs.append((loop, mult - 1))
         c = x
     return PathWitness(start, tuple(runs), (runs[-1][0].target if runs else start) == start)

@@ -181,10 +181,13 @@ def _free_reduce(runs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ..
 MAX_WORD_LETTERS = 1_000_000  # cap on a parsed word's length, before free reduction
 
 # Cap on n for parsed words and built automata.  ``automaton.build(n)``
-# makes Theta(n^2) arrows whose entries hold up to n-1 labels, and its
-# fusion table lists Theta(n^2) label pairs of up to n summands: on one
-# Intel Xeon core, build(128) takes 3.3 s and 135 MB, build(256) 20 s and
-# 724 MB, and n = 100000 runs out of memory.
+# makes arrows on first lookup, so a classify run pays for the arrows its
+# paths use: on one 2-core Intel Xeon, a fresh ``classify --n 128 --json
+# --t 0.5`` on three short words takes about 0.15 s and 24 MB.  The cap
+# guards what still grows with n: ``automaton --json`` makes all Theta(n^2)
+# arrows, whose entries hold up to n-1 labels (about 3 s and 220 MB at
+# n = 128), and the exact products read ``fusion._fusion_table``, which
+# lists Theta(n^2) label pairs of up to n summands.
 MAX_N = 128
 
 

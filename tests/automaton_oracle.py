@@ -149,7 +149,9 @@ def build_by_wrap(n: int) -> MassAutomaton:
             gamma_arrows[(1, fwd_src)] = fwd
             gamma_arrows[(-1, fwd_tgt)] = bwd
 
-    return MassAutomaton(n, vertices, tuple(arrows), twist_arrows, gamma_arrows)
+    return MassAutomaton(
+        n, vertices, lambda src, tgt, label: (gamma_arrows if isinstance(label, int) else twist_arrows)[(label, src)]
+    )
 
 
 def letters_applied(nf: NormalForm) -> list[TwistLetter | int]:

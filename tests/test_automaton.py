@@ -2,11 +2,13 @@ import json
 import math
 import random
 import sys
+import threading
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braiddyn import automaton
 from braiddyn.automaton import (
     Arrow,
     PathWitness,
@@ -30,11 +32,12 @@ from braiddyn.braidword import (
     NormalForm,
     TwistLetter,
     forbidden_source,
+    parse_word,
     target_vertex,
     to_normal_form,
     twist_modulus,
 )
-from braiddyn.classify import _automaton
+from braiddyn.classify import _AUTOMATA as _CLASSIFY_AUTOMATA, _automaton, classify
 from braiddyn.fusion import MassPoly, eval_mass, mass_mul, product_tree
 from braiddyn.twistcalc import V1, V2, SemistableUnit, letter_support
 
@@ -799,6 +802,7 @@ def test_twist_table_holds_the_twist_arrows(n):
     auto = _AUTOMATA[n]
     m = twist_modulus(n)
     code = {("v", j): j for j in range(m)} | {("u", j): m + j for j in range(m)}
+    # twist_arrows is read first: it fills every slot of the lazy table
     want = {(code[target_vertex(n, letter)], code[src]): arrow
             for (letter, src), arrow in auto.twist_arrows.items()}
     got = {(x, c): arrow for x, row in enumerate(auto._twist_table)
@@ -921,3 +925,99 @@ def test_factors_product_as_every_arrow(nf, require_closed):
     assert ((a, b), (c, d)) == tuple(
         tuple(entry.terms for entry in row) for row in fold_path_matrix(nf.n, path.arrows)
     )
+
+
+# --- arrows on demand -------------------------------------------------------------
+
+
+def count_arrow_rules(monkeypatch) -> Counter:
+    """Count the calls build()'s arrow rule makes to letter_support and gamma_on_unit."""
+    calls: Counter = Counter()
+    for name in ("letter_support", "gamma_on_unit"):
+        def counting(*args, real=getattr(automaton, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(automaton, name, counting)
+    return calls
+
+
+@pytest.fixture
+def fresh_automaton_8():
+    # classify() reads classify._AUTOMATA: swap in an n = 8 automaton with no arrow made yet
+    kept = dict(_CLASSIFY_AUTOMATA)
+    _CLASSIFY_AUTOMATA[8] = build(8)
+    yield _CLASSIFY_AUTOMATA[8]
+    _CLASSIFY_AUTOMATA.clear()
+    _CLASSIFY_AUTOMATA.update(kept)
+
+
+def test_build_makes_arrows_on_first_lookup(monkeypatch, fresh_automaton_8):
+    calls = count_arrow_rules(monkeypatch)
+    for n in (5, 16, 128):
+        build(n)
+    assert calls == Counter()
+    res = classify(8, parse_word("s1 s2^-1 s1^3 s2^-2", 8))
+    arrows = {arrow for arrow, _ in res.path.runs}
+    twists = sum(not isinstance(arrow.label, int) for arrow in arrows)
+    # each arrow reads the support of its two source basis units
+    assert 0 < calls["letter_support"] <= 2 * twists
+    assert calls["gamma_on_unit"] <= 2 * (len(arrows) - twists)
+    # a reader of every arrow makes the rest, as the eager oracle has them
+    assert fresh_automaton_8.arrows == build_by_wrap(8).arrows
+
+
+def _seeded_words_8(count):
+    rng = random.Random(8)
+    exps = (-3, -2, -1, 1, 2, 3)
+    return [
+        BraidWord(8, tuple((rng.choice((1, 2)), rng.choice(exps)) for _ in range(rng.randint(1, 8))))
+        for _ in range(count)
+    ]
+
+
+def _outcomes(words):
+    out = []
+    for w in words:
+        res = classify(8, w)
+        out.append((res.braid_type, res.h0(), res.path))
+    return out
+
+
+def test_concurrent_first_lookups_share_one_arrow_per_slot(fresh_automaton_8):
+    # four threads miss the same slots of a fresh automaton at once; each
+    # slot is filled once, so every thread's paths hold the same arrows
+    words = _seeded_words_8(40)
+    want = _outcomes(words)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the arrow rule too
+    try:
+        for _ in range(10):  # a race shows only when two threads miss one slot together
+            _CLASSIFY_AUTOMATA[8] = build(8)
+            start = threading.Barrier(4)
+            got: list = [None] * 4
+
+            def work(k):
+                start.wait(timeout=60)
+                got[k] = _outcomes(words)
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            for outcomes in got:
+                for (kind, h0, path), (want_kind, want_h0, want_path) in zip(
+                    outcomes, want, strict=True
+                ):
+                    assert kind == want_kind
+                    assert repr(h0) == repr(want_h0)  # bit for bit
+                    assert (path and path.runs) == (want_path and want_path.runs)
+            for outcomes in got[1:]:
+                for (_, _, path), (_, _, first) in zip(outcomes, got[0]):
+                    if path is not None:
+                        pairs = zip(path.runs, first.runs, strict=True)
+                        assert all(a is b for (a, _), (b, _) in pairs)
+    finally:
+        sys.setswitchinterval(switch)

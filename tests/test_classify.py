@@ -395,7 +395,7 @@ def test_peel_matches_round_loop(case):
 
 @pytest.fixture
 def automata_kept_to_this_test():
-    # the n = 127 and 128 automata take about 100 MB each; drop them after the test
+    # automata keep only the arrows their paths used; still, drop the ones this test made
     kept = dict(_AUTOMATA)
     yield
     _AUTOMATA.clear()
